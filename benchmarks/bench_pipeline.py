@@ -7,8 +7,8 @@ environments × four distances) for
   original detector hot path (two-sided FFT over a full sliding-window
   view, all bins materialized), i.e. the engine as it existed before the
   staged-pipeline refactor;
-* ``staged_per_session`` — ``RangingSession.run()`` chaining the pipeline
-  stages serially (current ``--batch 1``);
+* ``staged_per_session`` — ``Session.run()``, the round driver one
+  session at a time (current ``--batch 1``);
 * ``batched_N`` — :class:`BatchedSessionRunner` at batch sizes 1/8/16/32
   (current ``--batch N``).
 

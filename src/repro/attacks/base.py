@@ -4,7 +4,7 @@ Every attack targets the same scenario: the legitimate user (carrying the
 vouching device) has walked away; an attacker with physical access to the
 authenticating device tries to get PIANO to grant.  Attacks differ only in
 the acoustic content the attacker injects during the ranging session, so
-each attack class is an :data:`~repro.sim.session.InterferenceProvider`
+each attack class is an :data:`~repro.sim.pipeline.InterferenceProvider`
 factory plus a success criterion (``granted``).
 
 The attacker's knowledge, per §V: the candidate frequency set F_R and the

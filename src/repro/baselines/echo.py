@@ -35,7 +35,7 @@ from repro.core.ranging import RangingOutcome, RangingStatus
 from repro.core.signal_construction import construct_reference_signal
 from repro.devices.device import Device
 from repro.sim.geometry import Room
-from repro.sim.session import radiated_reference_waveform
+from repro.sim.pipeline import radiated_reference_waveform
 
 __all__ = ["EchoSecureProtocol", "EchoRoundResult"]
 

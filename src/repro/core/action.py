@@ -4,8 +4,8 @@ This module holds the *protocol logic* of ACTION's six steps — signal
 construction (I), detection (IV), and distance computation (VI) — as pure
 functions over sample buffers.  The acoustic I/O (III) and the Bluetooth
 exchange (II, V) are supplied by an orchestrator: in this repository that is
-:class:`repro.sim.session.RangingSession`, which drives real(istic) devices
-in the simulated world; the same logic would drive actual hardware.
+the round driver of :mod:`repro.sim.pipeline`, which drives real(istic)
+devices in the simulated world; the same logic would drive actual hardware.
 
 Separating logic from I/O keeps the paper's algorithms directly testable:
 the unit tests feed synthetic recordings straight into :meth:`observe` and

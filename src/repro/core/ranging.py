@@ -41,8 +41,8 @@ class RangingEngine(Protocol):
 
     :class:`repro.core.action.ActionRanging` is the canonical
     implementation; :class:`repro.baselines.cc_detector.ActionCCRanging`
-    swaps the detector.  A :class:`repro.sim.session.RangingSession`
-    drives any object with this shape, and the evaluation engine ships
+    swaps the detector.  A :class:`repro.sim.pipeline.Session` drives any
+    object with this shape, and the evaluation engine ships
     instances to worker processes — so implementations must be picklable.
     """
 

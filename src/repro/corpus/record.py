@@ -1,13 +1,12 @@
 """Recording: run cells live and persist their rendered captures.
 
 :func:`record_cell_spec` is :func:`~repro.eval.engine.run_cell_spec` with
-capture hooks: it executes the exact same stage calls in the exact same
-order as :class:`~repro.sim.pipeline.BatchedSessionRunner` — per-session
-``negotiate`` / ``schedule`` / ``render_noise``, one stacked
-``render_arrivals``, one stacked detection pass, per-session
-``exchange_and_decide`` — so the :class:`~repro.eval.engine.CellResult`
-it returns is bit-identical to a live run, and what it writes to the
-corpus is the ground truth replay is later compared against.
+a capture sink on the round driver
+(:class:`~repro.sim.pipeline.BatchedSessionRunner`): the rounds run
+through the very same phases, so the
+:class:`~repro.eval.engine.CellResult` it returns is bit-identical to a
+live run, and what it writes to the corpus is the ground truth replay is
+later compared against.
 
 Per surviving trial the entry stores everything the replay path needs to
 re-enter the pipeline *after* the render stage:
@@ -46,10 +45,21 @@ import repro
 from repro.acoustics.environment import Environment, ReverbProfile
 from repro.acoustics.noise import NoiseModel
 from repro.core.config import ProtocolConfig
+from repro.core.ranging import RangingOutcome
 from repro.dsp.backend import get_backend
 from repro.eval.engine import CellResult, TrialSpec, build_trial_session
-from repro.sim.pipeline.batch import DEFAULT_BATCH_SIZE, detect_batch
-from repro.sim.pipeline.stages import (
+from repro.sim.pipeline import (
+    BatchedSessionRunner,
+    PreparedRound,
+    RenderedRecordings,
+    Session,
+)
+
+# Bound for perfbench/layers.py, which wraps the stages under each
+# caller's module names; the round driver in repro.sim.pipeline.batch
+# makes the calls.
+from repro.sim.pipeline import (  # noqa: F401
+    detect_batch,
     exchange_and_decide,
     negotiate,
     render_arrivals,
@@ -176,6 +186,39 @@ def _versions() -> dict:
     }
 
 
+class _CaptureSink:
+    """The recorder's hooks into the round driver."""
+
+    def __init__(self) -> None:
+        self.rng_states: dict[int, dict] = {}
+        self.trials: dict[int, dict] = {}
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def after_prepare(self, trial: int, session: Session) -> None:
+        # Snapshot the stream position the exchange stage resumes from;
+        # deep-copied because the generator mutates in place.
+        self.rng_states[trial] = copy.deepcopy(session.rng.bit_generator.state)
+
+    def after_finish(
+        self,
+        trial: int,
+        prepared: PreparedRound,
+        recordings: RenderedRecordings,
+        outcome: RangingOutcome,
+    ) -> None:
+        signals = prepared.negotiation.signals
+        self.arrays[f"t{trial}_auth"] = encode_recording(recordings.auth)
+        self.arrays[f"t{trial}_vouch"] = encode_recording(recordings.vouch)
+        self.trials[trial] = {
+            "trial": trial,
+            "init_latency_s": prepared.negotiation.init_latency_s,
+            "auth_indices": [int(i) for i in signals.auth.candidate_indices],
+            "vouch_indices": [int(i) for i in signals.vouch.candidate_indices],
+            "rng_state": self.rng_states.pop(trial),
+            "outcome": outcome_to_json(outcome),
+        }
+
+
 def record_cell_spec(
     spec: TrialSpec,
     corpus: CaptureCorpus,
@@ -183,86 +226,25 @@ def record_cell_spec(
 ) -> CellResult:
     """Execute one cell live, persist its captures, return its result.
 
-    Stage calls and their order mirror
-    :class:`~repro.sim.pipeline.BatchedSessionRunner` exactly, so the
-    returned cell is bit-identical to
-    :func:`~repro.eval.engine.run_cell_spec` at the same ``batch_size``
-    semantics — and identical across batch sizes, as every execution mode
-    is (the stacked passes are batch-composition-invariant).
+    The cell runs through the same round driver as
+    :func:`~repro.eval.engine.run_cell_spec`, with a sink that captures
+    each round, so the returned cell is bit-identical to a live run at
+    any batch size.
     """
-    size = batch_size or DEFAULT_BATCH_SIZE
-    outcomes: list = [None] * spec.n_trials
-    trial_meta: dict[int, dict] = {}
-    arrays: dict[str, np.ndarray] = {}
+    runner = BatchedSessionRunner(batch_size)
+    sink = _CaptureSink()
+    sessions = (build_trial_session(spec, trial) for trial in range(spec.n_trials))
+    outcomes = runner.run(sessions, sink=sink)
 
-    for start in range(0, spec.n_trials, size):
-        pending: list[tuple] = []
-        planned = []
-        for trial in range(start, min(start + size, spec.n_trials)):
-            session = build_trial_session(spec, trial)
-            ctx, rng = session.context, session.rng
-            negotiation = negotiate(ctx, rng)
-            if session.artifacts is not None:
-                session.artifacts.signals = negotiation.signals
-            if negotiation.failure is not None:
-                outcomes[trial] = negotiation.failure
-                trial_meta[trial] = {
-                    "trial": trial,
-                    "failed_stage": "negotiate",
-                    "outcome": outcome_to_json(negotiation.failure),
-                }
-                continue
-            plan = schedule(ctx, negotiation, rng)
-            planned.append(render_noise(ctx, plan, rng))
-            # Snapshot the stream position the exchange stage resumes
-            # from; deep-copied because the generator mutates in place.
-            rng_state = copy.deepcopy(rng.bit_generator.state)
-            pending.append((trial, session, negotiation, rng_state))
-
-        rendered = render_arrivals(planned)
-        detections = detect_batch(
-            [
-                (session.context, negotiation, recordings)
-                for (_, session, negotiation, _), recordings in zip(
-                    pending, rendered
-                )
-            ]
-        )
-        for (trial, session, negotiation, rng_state), recordings, pair in zip(
-            pending, rendered, detections
-        ):
-            outcome = exchange_and_decide(
-                session.context,
-                negotiation,
-                pair,
-                session.rng,
-                session.artifacts,
-            )
-            outcomes[trial] = outcome
-            signals = negotiation.signals
-            arrays[f"t{trial}_auth"] = encode_recording(recordings.auth)
-            arrays[f"t{trial}_vouch"] = encode_recording(recordings.vouch)
-            trial_meta[trial] = {
-                "trial": trial,
-                "init_latency_s": negotiation.init_latency_s,
-                "auth_indices": [
-                    int(i) for i in signals.auth.candidate_indices
-                ],
-                "vouch_indices": [
-                    int(i) for i in signals.vouch.candidate_indices
-                ],
-                "rng_state": rng_state,
-                "outcome": outcome_to_json(outcome),
-            }
-
-    cell = CellResult(environment=spec.env_name, distance_m=spec.distance_m)
-    for outcome in outcomes:
-        cell.outcomes.append(outcome)
-        if outcome.ok:
-            cell.stats.add(outcome.require_distance() - spec.distance_m)
-        else:
-            cell.stats.add_not_present()
-
+    trials = [
+        sink.trials.get(trial)
+        or {
+            "trial": trial,
+            "failed_stage": "negotiate",
+            "outcome": outcome_to_json(outcome),
+        }
+        for trial, outcome in enumerate(outcomes)
+    ]
     spec_manifest = spec_to_manifest(spec)
     manifest = {
         "kind": "cell",
@@ -275,7 +257,7 @@ def record_cell_spec(
         "spec_repr": repr(spec),
         "backend": get_backend().name,
         "versions": _versions(),
-        "trials": [trial_meta[t] for t in range(spec.n_trials)],
+        "trials": trials,
     }
-    corpus.write_entry(spec.fingerprint(), manifest, arrays)
-    return cell
+    corpus.write_entry(spec.fingerprint(), manifest, sink.arrays)
+    return CellResult.from_outcomes(spec, outcomes)

@@ -11,13 +11,15 @@ trial it:
    subsets (:func:`~repro.core.signal_construction.signal_from_indices`
    is deterministic, so the rebuilt reference signals are bit-identical)
    and the stored init latency;
-3. loads both capture buffers from the payload — ``negotiate`` /
+3. loads both capture buffers from the payload and restores the session
+   RNG to the stored post-render stream position;
+4. hands all of that to the round driver
+   (:class:`~repro.sim.pipeline.BatchedSessionRunner`) as the capture
+   source standing in for its prepare phase — ``negotiate`` /
    ``schedule`` / ``render_noise`` / ``render_arrivals`` never run, which
-   keeps :func:`repro.sim.pipeline.render_call_counts` untouched;
-4. runs the stacked detection seam
-   (:func:`repro.sim.pipeline.detect_batch` — the very code live batches
-   use) and, after restoring the session RNG to the stored post-render
-   stream position, the terminal ``exchange_and_decide`` stage.
+   keeps :func:`repro.sim.pipeline.render_call_counts` untouched — so the
+   stacked detection and the terminal ``exchange_and_decide`` stage are
+   the very code live batches run.
 
 In **strict** mode (the default) every replayed decision is compared
 byte-for-byte against the recorded one via
@@ -34,12 +36,18 @@ from dataclasses import dataclass, field
 from repro.core.action import SignalPair
 from repro.core.signal_construction import signal_from_indices
 from repro.eval.engine import CellResult, TrialSpec, build_trial_session
-from repro.sim.pipeline.batch import DEFAULT_BATCH_SIZE, detect_batch
-from repro.sim.pipeline.stages import (
+from repro.sim.pipeline import (
+    BatchedSessionRunner,
     NegotiationResult,
+    PreparedRound,
     RenderedRecordings,
-    exchange_and_decide,
+    Session,
 )
+
+# Bound for perfbench/layers.py, which wraps the stages under each
+# caller's module names; the round driver in repro.sim.pipeline.batch
+# makes the calls.
+from repro.sim.pipeline import detect_batch, exchange_and_decide  # noqa: F401
 
 from repro.corpus.codec import (
     canonical_outcome_json,
@@ -99,7 +107,8 @@ class ReplayingSessionRunner:
     corpus:
         The store (or its root path) to replay from.
     batch_size:
-        Trials per stacked detection pass, as everywhere else; replayed
+        Trials per stacked detection pass, validated and defaulted by
+        :class:`~repro.sim.pipeline.BatchedSessionRunner`; replayed
         results are bit-identical for every value.
     strict:
         Compare every replayed decision byte-for-byte against the
@@ -113,10 +122,10 @@ class ReplayingSessionRunner:
         batch_size: int | None = None,
         strict: bool = True,
     ) -> None:
+        self.runner = BatchedSessionRunner(batch_size)
         if not isinstance(corpus, CaptureCorpus):
             corpus = CaptureCorpus(corpus, create=False)
         self.corpus = corpus
-        self.batch_size = batch_size or DEFAULT_BATCH_SIZE
         self.strict = strict
 
     # ------------------------------------------------------------------
@@ -183,81 +192,55 @@ class ReplayingSessionRunner:
                     )
 
         outcomes: list = [None] * spec.n_trials
-        report = ReplayReport(
+        restored = [t for t in trials if "failed_stage" in t]
+        for meta in restored:
+            outcomes[meta["trial"]] = outcome_from_json(meta["outcome"])
+
+        def restore(index: int, session: Session) -> PreparedRound:
+            # Resume the session stream exactly where the live run's
+            # render stage left it, so the exchange stage's
+            # report-transfer draw matches bit for bit.
+            meta = replayable[index]
+            session.rng.bit_generator.state = meta["rng_state"]
+            ctx = session.context
+            negotiation = NegotiationResult(
+                signals=SignalPair(
+                    auth=signal_from_indices(meta["auth_indices"], ctx.config),
+                    vouch=signal_from_indices(meta["vouch_indices"], ctx.config),
+                ),
+                init_latency_s=meta["init_latency_s"],
+            )
+            trial = meta["trial"]
+            recordings = RenderedRecordings(
+                auth=decode_recording(arrays[f"t{trial}_auth"]),
+                vouch=decode_recording(arrays[f"t{trial}_vouch"]),
+            )
+            return PreparedRound.from_context(
+                ctx, negotiation, recordings=recordings
+            )
+
+        replayed = self.runner.run(
+            (build_trial_session(spec, meta["trial"]) for meta in replayable),
+            source=restore,
+        )
+        mismatches = []
+        for meta, outcome in zip(replayable, replayed):
+            outcomes[meta["trial"]] = outcome
+            replayed_json = canonical_outcome_json(outcome_to_json(outcome))
+            recorded_json = canonical_outcome_json(meta["outcome"])
+            if replayed_json != recorded_json:
+                if self.strict:
+                    raise ReplayMismatchError(
+                        fingerprint, meta["trial"], recorded_json, replayed_json
+                    )
+                mismatches.append(meta["trial"])
+
+        return ReplayReport(
             fingerprint=fingerprint,
             environment=spec.env_name,
             distance_m=spec.distance_m,
-            cell=CellResult(
-                environment=spec.env_name, distance_m=spec.distance_m
-            ),
+            cell=CellResult.from_outcomes(spec, outcomes),
+            replayed_trials=len(replayable),
+            restored_trials=len(restored),
+            mismatches=mismatches,
         )
-
-        for meta in trials:
-            if "failed_stage" in meta:
-                outcomes[meta["trial"]] = outcome_from_json(meta["outcome"])
-                report.restored_trials += 1
-
-        for start in range(0, len(replayable), self.batch_size):
-            batch = replayable[start : start + self.batch_size]
-            prepared = []
-            for meta in batch:
-                trial = meta["trial"]
-                session = build_trial_session(spec, trial)
-                ctx = session.context
-                negotiation = NegotiationResult(
-                    signals=SignalPair(
-                        auth=signal_from_indices(
-                            meta["auth_indices"], ctx.config
-                        ),
-                        vouch=signal_from_indices(
-                            meta["vouch_indices"], ctx.config
-                        ),
-                    ),
-                    init_latency_s=meta["init_latency_s"],
-                )
-                recordings = RenderedRecordings(
-                    auth=decode_recording(arrays[f"t{trial}_auth"]),
-                    vouch=decode_recording(arrays[f"t{trial}_vouch"]),
-                )
-                prepared.append((meta, session, negotiation, recordings))
-
-            detections = detect_batch(
-                [
-                    (session.context, negotiation, recordings)
-                    for _, session, negotiation, recordings in prepared
-                ]
-            )
-            for (meta, session, negotiation, _), pair in zip(
-                prepared, detections
-            ):
-                trial = meta["trial"]
-                # Resume the session stream exactly where the live run's
-                # render stage left it, so the exchange stage's
-                # report-transfer draw matches bit for bit.
-                session.rng.bit_generator.state = meta["rng_state"]
-                outcome = exchange_and_decide(
-                    session.context,
-                    negotiation,
-                    pair,
-                    session.rng,
-                    session.artifacts,
-                )
-                outcomes[trial] = outcome
-                report.replayed_trials += 1
-                replayed = canonical_outcome_json(outcome_to_json(outcome))
-                recorded = canonical_outcome_json(meta["outcome"])
-                if replayed != recorded:
-                    if self.strict:
-                        raise ReplayMismatchError(
-                            fingerprint, trial, recorded, replayed
-                        )
-                    report.mismatches.append(trial)
-
-        cell = report.cell
-        for outcome in outcomes:
-            cell.outcomes.append(outcome)
-            if outcome.ok:
-                cell.stats.add(outcome.require_distance() - spec.distance_m)
-            else:
-                cell.stats.add_not_present()
-        return report

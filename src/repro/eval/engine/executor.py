@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence, TypeVar
 from repro.acoustics.environment import Environment
 from repro.core.config import ProtocolConfig
 from repro.sim.geometry import Point, Room
-from repro.sim.pipeline import BatchedSessionRunner
+from repro.sim.pipeline import BatchedSessionRunner, Session
 from repro.sim.world import AcousticWorld
 
 from repro.eval.engine.cache import MeasurementCache
@@ -71,7 +71,7 @@ def build_pair_world(
     return world
 
 
-def build_trial_session(spec: TrialSpec, trial: int):
+def build_trial_session(spec: TrialSpec, trial: int) -> Session:
     """Build trial ``trial`` of ``spec`` as a ready-to-run session.
 
     The single construction path every execution mode shares: a fresh
@@ -105,32 +105,19 @@ def run_cell_spec(
     fresh world derived deterministically from the spec content.
 
     ``batch_size`` selects how many sessions share one stacked DSP pass
-    (``None`` = the pipeline's auto default, ``1`` = the per-session
-    staged path).  Every trial keeps its own ``derive_seed`` RNG stream,
-    so the outcomes are bit-identical for every batch size.
+    (``None`` = the pipeline's auto default).  Every trial keeps its own
+    ``derive_seed`` RNG stream, so the outcomes are bit-identical for
+    every batch size.
 
     Worlds and sessions are built lazily as the runner consumes them, so
     a cell's peak memory is O(batch_size) sessions — a trial's world and
     its two capture buffers die with its batch, never pinned for the
     whole cell.
     """
-    cell = CellResult(environment=spec.env_name, distance_m=spec.distance_m)
-
-    def sessions():
-        for trial in range(spec.n_trials):
-            yield build_trial_session(spec, trial)
-
-    if batch_size == 1:
-        outcomes = [session.run() for session in sessions()]
-    else:
-        outcomes = BatchedSessionRunner(batch_size).run(sessions())
-    for outcome in outcomes:
-        cell.outcomes.append(outcome)
-        if outcome.ok:
-            cell.stats.add(outcome.require_distance() - spec.distance_m)
-        else:
-            cell.stats.add_not_present()
-    return cell
+    sessions = (build_trial_session(spec, trial) for trial in range(spec.n_trials))
+    return CellResult.from_outcomes(
+        spec, BatchedSessionRunner(batch_size).run(sessions)
+    )
 
 
 def _run_spec_chunk(

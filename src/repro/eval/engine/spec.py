@@ -22,7 +22,7 @@ import itertools
 import types
 import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.core.ranging import RangingEngine, RangingOutcome
 from repro.eval.stats import ErrorStats
 from repro.sim.geometry import Room
 from repro.sim.rng import derive_seed
-from repro.sim.session import InterferenceProvider
+from repro.sim.pipeline import InterferenceProvider
 from repro.sim.world import AcousticWorld
 
 __all__ = [
@@ -67,6 +67,24 @@ class CellResult:
     distance_m: float
     outcomes: list[RangingOutcome] = field(default_factory=list)
     stats: ErrorStats = field(default_factory=ErrorStats)
+
+    @classmethod
+    def from_outcomes(
+        cls, spec: "TrialSpec", outcomes: Iterable[RangingOutcome]
+    ) -> "CellResult":
+        """Fold a cell's outcomes, in trial order, into its result.
+
+        A completed round adds its signed ranging error against the
+        spec's true distance; any other round counts as not present.
+        """
+        cell = cls(environment=spec.env_name, distance_m=spec.distance_m)
+        for outcome in outcomes:
+            cell.outcomes.append(outcome)
+            if outcome.ok:
+                cell.stats.add(outcome.require_distance() - spec.distance_m)
+            else:
+                cell.stats.add_not_present()
+        return cell
 
 
 # Closures/lambdas get a never-recycled per-instance token.  Bare id()

@@ -1,22 +1,21 @@
-"""Picklable DSP jobs: the heavy phase of a round, on any substrate.
+"""Picklable DSP jobs: the heavy phase of a round, in a worker process.
 
-The deterministic half of a ranging round — the stacked
-:func:`~repro.sim.pipeline.render_arrivals` pass plus the stacked
-detection (:func:`~repro.sim.pipeline.detect_batch_grouped`) — consumes
-nothing but pure data: planned capture jobs, reference signals, the
-protocol config, and two sample rates.  :class:`RoundDSPJob` packages
-exactly that, and :func:`execute_dsp_jobs` executes a batch of them.
+The deterministic half of a ranging round — the round driver's
+:func:`~repro.sim.pipeline.render_and_detect` — consumes nothing but pure
+data: planned capture jobs, the negotiated signals, the ranging engine,
+and two sample rates.  :class:`RoundDSPJob` is the picklable projection
+of a :class:`~repro.sim.pipeline.PreparedRound`: the engine is replaced
+by its protocol config, because the stock
+:class:`~repro.core.action.ActionRanging` is stateless and
+config-determined.  :func:`execute_dsp_jobs` rebuilds each round's
+action from that config (through a per-process cache) and runs the very
+same ``render_and_detect`` body the in-process path runs, so pipeline
+invariant 2 makes the result bit-identical wherever it executes — the
+service tests assert it against ``run_cell_spec``.
 
-Because a job is plain picklable data, the same function runs unchanged
-on a thread of the serving process (the PR 4 configuration) **or** inside
-a ``ProcessPoolExecutor`` worker — the seam the
-:class:`~repro.service.scheduler.BatchingScheduler` uses to put the heavy
-DSP on real cores while the asyncio loop only does protocol, coalescing,
-and decide.  Worker processes rebuild the (stateless, config-determined)
-:class:`~repro.core.action.ActionRanging` from the job's config via a
-per-process cache; pipeline invariant 2 plus the config-only behaviour of
-ACTION make the result bit-identical to the in-process path, which the
-service tests assert against ``run_cell_spec``.
+This is the seam the :class:`~repro.service.scheduler.BatchingScheduler`
+uses to put the heavy DSP on real cores inside a ``ProcessPoolExecutor``
+while the asyncio loop only does protocol, coalescing, and decide.
 
 The DSP *backend* selection inside a worker follows the normal rules
 (:mod:`repro.dsp.backend`): explicit ``set_backend`` does not cross the
@@ -30,16 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.action import ActionRanging, SignalPair
+from repro.core.action import ActionRanging
 from repro.core.config import ProtocolConfig
 from repro.sim.pipeline import (
     DetectionPair,
     NegotiationResult,
     PlannedRender,
+    PreparedRound,
     RenderedRecordings,
-    SessionContext,
-    detect_batch_grouped,
-    render_arrivals,
+    render_and_detect,
 )
 
 __all__ = ["RoundDSPJob", "round_dsp_job", "execute_dsp_jobs"]
@@ -47,42 +45,36 @@ __all__ = ["RoundDSPJob", "round_dsp_job", "execute_dsp_jobs"]
 
 @dataclass(frozen=True)
 class RoundDSPJob:
-    """Everything the deterministic DSP of one round needs, as pure data.
+    """A :class:`~repro.sim.pipeline.PreparedRound`, picklable.
 
-    ``planned`` carries the RNG-phase output (noise beds + realized
-    arrival plans); the rest parameterizes the stacked detection.  No
-    session, device, or world object crosses this boundary, so the job
-    pickles cheaply enough to ship to a worker process.
+    No session, device, or world object crosses this boundary, so the
+    job pickles cheaply enough to ship to a worker process.
     """
 
     planned: PlannedRender
-    signals: SignalPair
+    negotiation: NegotiationResult
     config: ProtocolConfig
     auth_sample_rate: float
     vouch_sample_rate: float
 
 
-def round_dsp_job(
-    ctx: SessionContext,
-    negotiation: NegotiationResult,
-    planned: PlannedRender,
-) -> RoundDSPJob | None:
+def round_dsp_job(prepared: PreparedRound) -> RoundDSPJob | None:
     """Project a prepared round onto a :class:`RoundDSPJob`.
 
-    Returns ``None`` when the session's ranging engine is not the stock
+    Returns ``None`` when the round's ranging engine is not the stock
     :class:`~repro.core.action.ActionRanging` — a subclass could carry
     instance state a rebuilt action would not see, so such rounds must
     stay on the in-process path (the scheduler falls back to its thread
     executor for the whole batch).
     """
-    if type(ctx.action) is not ActionRanging:
+    if type(prepared.action) is not ActionRanging:
         return None
     return RoundDSPJob(
-        planned=planned,
-        signals=negotiation.signals,
-        config=ctx.config,
-        auth_sample_rate=ctx.auth_device.sample_rate,
-        vouch_sample_rate=ctx.vouch_device.sample_rate,
+        planned=prepared.planned,
+        negotiation=prepared.negotiation,
+        config=prepared.action.config,
+        auth_sample_rate=prepared.auth_sample_rate,
+        vouch_sample_rate=prepared.vouch_sample_rate,
     )
 
 
@@ -101,28 +93,22 @@ def _action_for(config: ProtocolConfig) -> ActionRanging:
 def execute_dsp_jobs(
     jobs: Sequence[RoundDSPJob],
 ) -> list[tuple[RenderedRecordings, DetectionPair]]:
-    """Run a batch of DSP jobs: one stacked render + one stacked detect.
+    """Rebuild each job's round, then run the driver's render-and-detect.
 
-    The exact kernel calls the in-process scheduler path makes —
-    ``render_arrivals`` over all 2·B captures, then
-    ``detect_batch_grouped`` over all 2·B recordings — so results are
-    bit-identical wherever this executes (thread or worker process).
     Results come back in job order.
     """
-    recordings = render_arrivals([job.planned for job in jobs])
-    detections = detect_batch_grouped(
+    return render_and_detect(
         [
-            (
+            PreparedRound(
+                job.negotiation,
                 _action_for(job.config),
-                job.signals,
                 job.auth_sample_rate,
                 job.vouch_sample_rate,
-                rendered,
+                planned=job.planned,
             )
-            for job, rendered in zip(jobs, recordings)
+            for job in jobs
         ]
     )
-    return list(zip(recordings, detections))
 
 
 def warm_worker() -> str:

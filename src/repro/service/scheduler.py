@@ -1,21 +1,22 @@
 """Coalescing DSP scheduler: concurrent rounds share stacked kernel passes.
 
 The request path of the service (``repro.service.server``) runs the
-RNG-bound stages — ``negotiate``, ``schedule``, ``render_noise`` — inline
-on the event loop, then hands the round's pure-data remainder to a
+round driver's RNG-bound phase (:func:`~repro.sim.pipeline.prepare`:
+``negotiate``, ``schedule``, ``render_noise``) inline on the event loop,
+then hands the round's pure-data remainder to a
 :class:`BatchingScheduler`.  The scheduler's collector task gathers every
 round pending at that moment (up to ``max_batch``, lingering
-``linger_ms`` for stragglers) and executes the deterministic half of the
-pipeline — :func:`~repro.sim.pipeline.render_arrivals` plus the stacked
-:func:`~repro.sim.pipeline.detect_batch` — as **one** batch on a DSP
-executor thread.  Concurrent in-flight requests therefore inherit the
-batched hot path's throughput exactly as ``--batch`` trials do, while the
-event loop stays free to prepare the next rounds.
+``linger_ms`` for stragglers) and executes the driver's deterministic
+phase — :func:`~repro.sim.pipeline.render_and_detect`, a stacked render
+plus a stacked detection — as **one** batch on the DSP executor.
+Concurrent in-flight requests therefore inherit the batched hot path's
+throughput exactly as ``--batch`` trials do, while the event loop stays
+free to prepare the next rounds.
 
 Determinism: batch composition is a scheduling decision, never a
 numerical one (invariant 2 of :mod:`repro.sim.pipeline`), so *which*
 requests happen to share a stacked pass cannot change any round's bits.
-The RNG-bound stages and ``exchange_and_decide`` never enter the
+The RNG-bound phases (``prepare`` and ``finish``) never enter the
 scheduler — each stays on its own session's stream, in order.
 
 Backpressure: at most ``max_pending`` rounds may be queued; beyond that
@@ -42,7 +43,6 @@ import asyncio
 import multiprocessing
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.service.executor import (
     execute_dsp_jobs,
@@ -55,11 +55,16 @@ from repro.sim.pipeline import (
     DetectionPair,
     NegotiationResult,
     PlannedRender,
+    PreparedRound,
     RenderedRecordings,
     SessionContext,
-    detect_batch,
-    render_arrivals,
+    render_and_detect,
 )
+
+# Bound for perfbench/layers.py, which wraps the stages under each
+# caller's module names; the round driver in repro.sim.pipeline.batch
+# makes the calls.
+from repro.sim.pipeline import detect_batch, render_arrivals  # noqa: F401
 
 __all__ = [
     "BatchingScheduler",
@@ -146,35 +151,13 @@ class SchedulerStats:
 class _PendingRound:
     """One prepared round awaiting its stacked DSP pass."""
 
-    context: SessionContext
-    negotiation: NegotiationResult
-    planned: PlannedRender
+    prepared: PreparedRound
     future: "asyncio.Future[tuple[RenderedRecordings, DetectionPair]]" = field(
         repr=False, default=None  # type: ignore[assignment]
     )
     #: Loop time after which the round must not be admitted to a batch
     #: (``None`` = no deadline).
     expires_at: float | None = None
-
-
-def _execute_rounds(
-    batch: Sequence[_PendingRound],
-) -> list[tuple[RenderedRecordings, DetectionPair]]:
-    """The deterministic DSP of a batch, on the executor thread.
-
-    Stacks the arrival convolutions across all 2·B captures and the
-    detection FFTs across all 2·B recordings — the same kernel calls
-    :class:`~repro.sim.pipeline.BatchedSessionRunner` makes for trial
-    batches.
-    """
-    recordings = render_arrivals([item.planned for item in batch])
-    detections = detect_batch(
-        [
-            (item.context, item.negotiation, rendered)
-            for item, rendered in zip(batch, recordings)
-        ]
-    )
-    return list(zip(recordings, detections))
 
 
 class BatchingScheduler:
@@ -387,7 +370,9 @@ class BatchingScheduler:
             self.retract(1)
         future = asyncio.get_running_loop().create_future()
         item = _PendingRound(
-            context, negotiation, planned, future, expires_at=expires_at
+            PreparedRound.from_context(context, negotiation, planned),
+            future,
+            expires_at=expires_at,
         )
         try:
             self._queue.put_nowait(item)
@@ -455,18 +440,16 @@ class BatchingScheduler:
         for exotic engines without poisoning the pool.
         """
         loop = asyncio.get_running_loop()
+        rounds = [item.prepared for item in batch]
         if self.dsp_executor == "process":
-            jobs = [
-                round_dsp_job(item.context, item.negotiation, item.planned)
-                for item in batch
-            ]
+            jobs = [round_dsp_job(prepared) for prepared in rounds]
             if all(job is not None for job in jobs):
                 return loop.run_in_executor(
                     self._executor, execute_dsp_jobs, jobs
                 )
             # ``None`` = the loop's default thread pool.
-            return loop.run_in_executor(None, _execute_rounds, batch)
-        return loop.run_in_executor(self._executor, _execute_rounds, batch)
+            return loop.run_in_executor(None, render_and_detect, rounds)
+        return loop.run_in_executor(self._executor, render_and_detect, rounds)
 
     async def _dispatch(
         self, batch: list[_PendingRound], waited_s: float = 0.0

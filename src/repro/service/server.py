@@ -5,22 +5,25 @@ Request lifecycle (see ``docs/service.md`` for the full narrative):
 1. a :class:`~repro.service.protocol.RangingRequest` arrives (over the
    newline-delimited-JSON TCP listener, or directly through
    :meth:`AuthService.handle_request` for in-process callers);
-2. per round, the RNG-bound stages run on the request path —
-   :func:`~repro.eval.engine.build_trial_session` (the *same*
-   construction the CLI engine uses), then ``negotiate`` → ``schedule``
-   → ``render_noise`` on the session's own RNG stream;
+2. per round, the round driver's RNG-bound phase runs on the request
+   path — :func:`~repro.eval.engine.build_trial_session` (the *same*
+   construction the CLI engine uses), then
+   :func:`~repro.sim.pipeline.prepare` (``negotiate`` → ``schedule`` →
+   ``render_noise``) on the session's own RNG stream;
 3. the round's deterministic DSP is submitted to the
    :class:`~repro.service.scheduler.BatchingScheduler`, which coalesces
-   it with whatever other requests are in flight into one stacked
-   ``render_arrivals`` + ``detect_batch`` pass on the DSP executor;
-4. ``exchange_and_decide`` runs back on the request path, and the
-   round's :class:`~repro.service.protocol.RoundDecision` streams to the
-   caller immediately;
+   it with whatever other requests are in flight into one
+   :func:`~repro.sim.pipeline.render_and_detect` pass on the DSP
+   executor;
+4. :func:`~repro.sim.pipeline.finish` (``exchange_and_decide``) runs
+   back on the request path, and the round's
+   :class:`~repro.service.protocol.RoundDecision` streams to the caller
+   immediately;
 5. after the last round, the aggregate
    :class:`~repro.service.protocol.RequestComplete` (the PIANO
    grant/deny rule) terminates the stream.
 
-Bit-identity: steps 2–4 execute the identical stage functions, in the
+Bit-identity: steps 2–4 execute the identical driver phases, in the
 identical per-session RNG order, as a CLI trial — batching across
 requests cannot change bits (pipeline invariant 2) — so a served
 decision equals the same trial run by ``python -m repro`` exactly.
@@ -46,7 +49,12 @@ from typing import AsyncIterator
 from repro.acoustics.environment import get_environment
 from repro.core.ranging import RangingOutcome
 from repro.eval.engine import TrialSpec, build_trial_session
-from repro.sim.pipeline import (
+from repro.sim.pipeline import finish, prepare
+
+# Bound for perfbench/layers.py, which wraps the stages under each
+# caller's module names; the round driver in repro.sim.pipeline.batch
+# makes the calls.
+from repro.sim.pipeline import (  # noqa: F401
     exchange_and_decide,
     negotiate,
     render_noise,
@@ -449,21 +457,19 @@ class AuthService:
                         "deadline expired before round start"
                     )
                 session = build_trial_session(spec, trial)
-                ctx, rng = session.context, session.rng
-                negotiation = negotiate(ctx, rng)
-                if negotiation.failure is not None:
-                    return negotiation.failure
-                plan = schedule(ctx, negotiation, rng)
-                planned = render_noise(ctx, plan, rng)
+                prepared = prepare(session)
+                if isinstance(prepared, RangingOutcome):
+                    return prepared
                 submitted = True
                 recordings, detections = await self.scheduler.run_round(
-                    ctx, negotiation, planned, announced=True,
+                    session.context,
+                    prepared.negotiation,
+                    prepared.planned,
+                    announced=True,
                     expires_at=expires_at,
                 )
-                session.artifacts.recording_auth = recordings.auth
-                session.artifacts.recording_vouch = recordings.vouch
-                outcome = exchange_and_decide(
-                    ctx, negotiation, detections, rng, session.artifacts
+                outcome = finish(
+                    session, prepared.negotiation, recordings, detections
                 )
                 if outcome.ok and isinstance(spec.environment, str):
                     # Free calibration evidence: on the simulated

@@ -1,17 +1,18 @@
-"""Staged ranging pipeline with cross-session batched execution.
+"""Staged ranging pipeline and the one round driver.
 
 Three modules (see ``docs/pipeline.md`` and ``docs/architecture.md``):
 
 * **stages** — the five typed, pure stages of one ACTION round
   (``negotiate`` → ``schedule`` → ``render`` → ``detect`` →
-  ``exchange_and_decide``) plus :func:`run_staged`, the serial chain that
-  :class:`repro.sim.session.RangingSession` wraps;
-* **batch** — :class:`BatchedSessionRunner`, which executes the
-  negotiate/schedule/render_noise stages per trial (preserving each
-  trial's RNG stream), renders every capture's arrivals in one stacked
-  pass, and then runs detection as stacked window batches spanning every
-  recording of the batch (:func:`detect_batch`, the seam the streaming
-  service's scheduler shares);
+  ``exchange_and_decide``) and the dataclasses crossing their
+  boundaries;
+* **batch** — the round driver: :func:`prepare` runs the RNG-bound
+  stages per session, :func:`render_and_detect` renders every capture's
+  arrivals in one stacked pass and detects every recording of the batch
+  in stacked window passes, and :func:`finish` runs the terminal stage
+  per session.  :class:`BatchedSessionRunner` loops them over batches
+  of :class:`Session`\\ s (``Session.run`` is that loop at B = 1); the
+  corpus and the streaming service run the same phases;
 * **reference** — the pre-refactor monolithic loop, kept as the
   executable specification the equivalence tests and benchmarks compare
   against.
@@ -24,7 +25,7 @@ Invariants every caller may rely on (and every change must preserve):
    channel draws → report transfer).  Stages that batch across sessions
    (``render_arrivals``, ``detect_batch``) consume **no** RNG at all.
 2. **Bitwise batch invariance** — for a fixed per-session RNG stream,
-   serial staged execution, :func:`run_monolithic`, and
+   :meth:`Session.run`, :func:`run_monolithic`, and
    :class:`BatchedSessionRunner` at *any* batch size (or any grouping of
    sessions into batches) produce bit-identical
    :class:`~repro.core.ranging.RangingOutcome`\\ s.  Batch composition is
@@ -40,8 +41,12 @@ Invariants every caller may rely on (and every change must preserve):
 from repro.sim.pipeline.batch import (
     DEFAULT_BATCH_SIZE,
     BatchedSessionRunner,
+    PreparedRound,
+    Session,
     detect_batch,
-    detect_batch_grouped,
+    finish,
+    prepare,
+    render_and_detect,
 )
 from repro.sim.pipeline.reference import run_monolithic
 from repro.sim.pipeline.stages import (
@@ -65,7 +70,6 @@ from repro.sim.pipeline.stages import (
     render_call_counts,
     render_noise,
     reset_render_call_counts,
-    run_staged,
     schedule,
     session_cost,
 )
@@ -77,26 +81,29 @@ __all__ = [
     "InterferenceProvider",
     "NegotiationResult",
     "PlannedRender",
+    "PreparedRound",
     "RenderedRecordings",
     "RoundEvidence",
     "SchedulePlan",
+    "Session",
     "SessionArtifacts",
     "SessionContext",
     "SessionTiming",
     "detect",
     "detect_batch",
-    "detect_batch_grouped",
     "exchange",
     "exchange_and_decide",
+    "finish",
     "negotiate",
+    "prepare",
     "radiated_reference_waveform",
     "render",
+    "render_and_detect",
     "render_arrivals",
     "render_call_counts",
     "render_noise",
     "reset_render_call_counts",
     "run_monolithic",
-    "run_staged",
     "schedule",
     "session_cost",
 ]

@@ -1,43 +1,51 @@
-"""Cross-session batched execution of the staged pipeline.
+"""The round driver: one ACTION round order for every execution path.
 
-:class:`BatchedSessionRunner` consumes B independent sessions and runs
-them stage by stage instead of session by session:
+One ranging round runs in three phases, and this module owns their
+order for every caller — trial engine, corpus record and replay, and the
+streaming service:
 
-1. ``negotiate`` + ``schedule`` + ``render_noise`` execute per session,
-   each on its own RNG stream — these stages *are* the stream consumers,
-   so their per-trial draw order is untouched (see ``docs/pipeline.md``);
-2. the render stage's deterministic half runs as one batch:
-   ``render_arrivals`` groups equal-shape (waveform, taps) pairs across
-   all 2·B captures into stacked convolutions;
-3. ``detect`` executes as one stacked pass: the 2·B capture buffers of the
-   batch go through a shared coarse ``candidate_powers_stacked`` pass
-   and one more stacked call for all fine passes
-   (:meth:`repro.core.action.ActionRanging.observe_batch`), instead of
-   2·B coarse + 4·B fine scans;
-4. ``exchange_and_decide`` executes per session, again on the session RNG.
+1. :func:`prepare` — ``negotiate`` → ``schedule`` → ``render_noise`` on
+   the session's own RNG stream (these stages *are* the stream
+   consumers, so their per-trial draw order is untouched — see
+   ``docs/pipeline.md``), or the terminal outcome when Bluetooth fails;
+2. :func:`render_and_detect` — RNG-free: ``render_arrivals`` stacks the
+   arrival convolutions of every round that still needs rendering, then
+   ``detect_batch`` runs one stacked detection pass over all 2·B
+   capture buffers (a shared coarse ``candidate_powers_stacked`` pass
+   and one more stacked call for all fine passes —
+   :meth:`repro.core.action.ActionRanging.observe_batch`);
+3. :func:`finish` — ``exchange_and_decide`` per session, again on the
+   session RNG.
+
+:class:`BatchedSessionRunner` is the batch loop over those phases and
+:meth:`Session.run` is that loop at B = 1.  The corpus hooks into the
+loop instead of copying it: replay supplies a *source* that stands in
+for :func:`prepare`, record a *sink* that observes the phases.  The
+service runs the phases itself around its coalescing scheduler, whose
+thread and process executors both run :func:`render_and_detect`.
 
 Detection is a pure function of the recordings and the FFT/power
-arithmetic is row-wise independent, so batched outcomes are bit-identical
-to the serial staged path — the equivalence tests assert this against
-:func:`repro.sim.pipeline.reference.run_monolithic` as well.
+arithmetic is row-wise independent, so outcomes are bit-identical for
+every batch size and batch composition — the equivalence tests assert
+this against :func:`repro.sim.pipeline.reference.run_monolithic` as well.
 
 Sessions whose ranging engine is not the stock
 :class:`~repro.core.action.ActionRanging` (e.g. the ACTION-CC ablation)
-fall back to the per-session ``detect`` stage; everything else about the
-batch still applies.
+are detected one by one with their own engine; everything else about
+the batch still applies.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.action import ActionRanging, SignalPair
-from repro.core.ranging import RangingOutcome
+from repro.core.action import ActionRanging
+from repro.core.ranging import RangingEngine, RangingOutcome
 from repro.sim.pipeline.stages import (
     DetectionPair,
     NegotiationResult,
@@ -45,23 +53,23 @@ from repro.sim.pipeline.stages import (
     RenderedRecordings,
     SessionArtifacts,
     SessionContext,
-    detect,
     exchange_and_decide,
     negotiate,
-    record_schedule_artifacts,
     render_arrivals,
     render_noise,
     schedule,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.session import RangingSession
-
 __all__ = [
     "BatchedSessionRunner",
     "DEFAULT_BATCH_SIZE",
+    "PreparedRound",
+    "RoundSink",
+    "Session",
     "detect_batch",
-    "detect_batch_grouped",
+    "finish",
+    "prepare",
+    "render_and_detect",
 ]
 
 #: Auto batch size: large enough that the shared coarse pass and the
@@ -72,147 +80,212 @@ __all__ = [
 DEFAULT_BATCH_SIZE = 16
 
 
-def _stackable_action(action) -> bool:
-    """Whether a session's detection can join a stacked observe pass.
+@dataclass(eq=False)
+class Session:
+    """One ACTION round between two paired devices, ready to run.
 
-    Strict type check: a subclass could override ``observe`` with instance
-    state the stacked pass would not see.  ACTION behaviour depends only
-    on the (hashable) protocol config, which is part of the stacking
-    group key.
+    The pairing of an immutable :class:`SessionContext` with the
+    per-session RNG stream, plus the diagnostics the round fills in.
     """
-    return type(action) is ActionRanging
+
+    context: SessionContext
+    rng: np.random.Generator
+    artifacts: SessionArtifacts = field(default_factory=SessionArtifacts)
+
+    def run(self) -> RangingOutcome:
+        """Execute the full round and return the Step-VI outcome."""
+        return BatchedSessionRunner(1).run([self])[0]
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedRound:
+    """One round between :func:`prepare` and :func:`finish`.
+
+    Holds only what :func:`render_and_detect` reads — the ranging engine,
+    the negotiated signals, both devices' sample rates, and either the
+    planned render (``planned``) or captures supplied from elsewhere
+    (``recordings``) — so the service's process executor can rebuild an
+    equal round from a picklable :class:`repro.service.RoundDSPJob`.
+    """
+
+    negotiation: NegotiationResult
+    action: RangingEngine
+    auth_sample_rate: float
+    vouch_sample_rate: float
+    planned: PlannedRender | None = None
+    recordings: RenderedRecordings | None = None
+
+    @classmethod
+    def from_context(
+        cls,
+        ctx: SessionContext,
+        negotiation: NegotiationResult,
+        planned: PlannedRender | None = None,
+        recordings: RenderedRecordings | None = None,
+    ) -> "PreparedRound":
+        """The round of the session described by ``ctx``."""
+        return cls(
+            negotiation,
+            ctx.action,
+            ctx.auth_device.sample_rate,
+            ctx.vouch_device.sample_rate,
+            planned,
+            recordings,
+        )
+
+
+class RoundSink(Protocol):
+    """Observer of the driver's phases (the corpus recorder).
+
+    ``index`` is the session's position in the input of
+    :meth:`BatchedSessionRunner.run`.  Neither hook is called for a
+    round that :func:`prepare` ended (Bluetooth failure).
+    """
+
+    def after_prepare(self, index: int, session: Session) -> None:
+        """The session RNG now sits where ``exchange`` will resume it."""
+
+    def after_finish(
+        self,
+        index: int,
+        prepared: PreparedRound,
+        recordings: RenderedRecordings,
+        outcome: RangingOutcome,
+    ) -> None:
+        """The round is decided; ``recordings`` are its captures."""
+
+
+#: Stands in for :func:`prepare` (corpus replay): given the session's
+#: input position and the session, it returns the round with its
+#: recordings supplied and the session RNG at the post-render position.
+CaptureSource = Callable[[int, Session], PreparedRound]
+
+
+def prepare(session: Session) -> PreparedRound | RangingOutcome:
+    """Phase 1: the RNG-bound stages, or the terminal Bluetooth failure."""
+    ctx, rng, artifacts = session.context, session.rng, session.artifacts
+    negotiation = negotiate(ctx, rng)
+    artifacts.signals = negotiation.signals
+    if negotiation.failure is not None:
+        return negotiation.failure
+    plan = schedule(ctx, negotiation, rng)
+    artifacts.playbacks = list(plan.playbacks)
+    artifacts.auth_record_start_world = plan.auth_record_start
+    artifacts.vouch_record_start_world = plan.vouch_record_start
+    artifacts.auth_play_world = plan.auth_play_world
+    artifacts.vouch_play_world = plan.vouch_play_world
+    return PreparedRound.from_context(
+        ctx, negotiation, planned=render_noise(ctx, plan, rng)
+    )
+
+
+def _captures(rounds: Sequence[PreparedRound]) -> list[RenderedRecordings]:
+    """Every round's captures: supplied ones as they are, the rest
+    rendered in one stacked pass (skipped when nothing needs rendering).
+    """
+    planned = [item.planned for item in rounds if item.recordings is None]
+    rendered = iter(render_arrivals(planned) if planned else ())
+    return [
+        item.recordings if item.recordings is not None else next(rendered)
+        for item in rounds
+    ]
+
+
+def render_and_detect(
+    rounds: Sequence[PreparedRound],
+) -> list[tuple[RenderedRecordings, DetectionPair]]:
+    """Phase 2: the RNG-free DSP of a batch — stacked render, stacked detect.
+
+    Results come back in input order, bit-identical for every batch
+    composition, on whichever thread or process this runs.
+    """
+    recordings = _captures(rounds)
+    return list(zip(recordings, detect_batch(rounds, recordings)))
+
+
+def finish(
+    session: Session,
+    negotiation: NegotiationResult,
+    recordings: RenderedRecordings,
+    detections: DetectionPair,
+) -> RangingOutcome:
+    """Phase 3: Steps V–VI on the session RNG."""
+    artifacts = session.artifacts
+    artifacts.recording_auth = recordings.auth
+    artifacts.recording_vouch = recordings.vouch
+    return exchange_and_decide(
+        session.context, negotiation, detections, session.rng, artifacts
+    )
 
 
 def detect_batch(
-    entries: Sequence[
-        tuple[SessionContext, NegotiationResult, RenderedRecordings]
-    ],
+    entries: Sequence[PreparedRound],
+    recordings: Sequence[RenderedRecordings],
 ) -> list[DetectionPair]:
-    """Step IV for many independent sessions, stacked where possible.
+    """Step IV for many independent rounds, stacked where possible.
 
-    ``entries`` pair each session's immutable context and negotiation
-    result with its rendered recordings.  Sessions running the stock
+    ``recordings`` are the entries' captures, in order.  Rounds running
+    the stock
     :class:`~repro.core.action.ActionRanging` are grouped by (protocol
     config, recording lengths) and dispatched as one stacked
-    ``observe_batch`` pass per group; any other engine falls back to the
-    per-session :func:`~repro.sim.pipeline.stages.detect` stage.  Results
-    come back in input order and are bit-identical to running ``detect``
-    per entry — detection is a pure function of the recordings and the
-    FFT/power arithmetic is row-wise independent.
-
-    This is the shared batched-detection seam: both
-    :class:`BatchedSessionRunner` (stage-major trial batches) and the
-    streaming service's :class:`repro.service.BatchingScheduler`
-    (coalesced concurrent requests) route through it.
+    ``observe_batch`` pass per group — ACTION behaviour depends only on
+    the config, so the group's first engine serves them all.  Any other
+    engine observes its own captures (a subclass could override
+    ``observe`` with state a stacked pass would not see).  Results come
+    back in input order and are bit-identical to per-round detection.
     """
-    results: dict[int, DetectionPair] = {}
-    stackable: list[int] = []
-    for index, (ctx, negotiation, recordings) in enumerate(entries):
-        if _stackable_action(ctx.action):
-            stackable.append(index)
-        else:
-            results[index] = detect(ctx, negotiation, recordings)
-
-    grouped = detect_batch_grouped(
-        [
-            (
-                entries[i][0].action,
-                entries[i][1].signals,
-                entries[i][0].auth_device.sample_rate,
-                entries[i][0].vouch_device.sample_rate,
-                entries[i][2],
+    groups: dict[object, list[int]] = {}
+    for index, entry in enumerate(entries):
+        key: object = index
+        if type(entry.action) is ActionRanging:
+            key = (
+                entry.action.config,
+                recordings[index].auth.shape[0],
+                recordings[index].vouch.shape[0],
             )
-            for i in stackable
-        ]
-    )
-    for index, pair in zip(stackable, grouped):
-        results[index] = pair
-    return [results[index] for index in range(len(entries))]
-
-
-def detect_batch_grouped(
-    entries: Sequence[
-        tuple[ActionRanging, SignalPair, float, float, RenderedRecordings]
-    ],
-) -> list[DetectionPair]:
-    """Stacked Step IV over pure per-round data — no session objects.
-
-    Each entry is ``(action, signals, auth_sample_rate, vouch_sample_rate,
-    recordings)``.  This is the substrate-independent core of
-    :func:`detect_batch`: everything it consumes is picklable data plus an
-    :class:`~repro.core.action.ActionRanging` whose behaviour depends only
-    on its (hashable) protocol config — which is what lets the streaming
-    service ship a batch's detection to a worker *process* (rebuilding the
-    action from the config over there) and still produce the exact bits
-    the in-process path produces.  Entries are grouped by (config,
-    recording lengths) and each group runs as one stacked
-    ``observe_batch`` pass; results come back in input order.
-    """
-    results: dict[int, DetectionPair] = {}
-    groups: dict[tuple, list[int]] = {}
-    for index, (action, _, _, _, recordings) in enumerate(entries):
-        key = (
-            action.config,
-            recordings.auth.shape[0],
-            recordings.vouch.shape[0],
-        )
         groups.setdefault(key, []).append(index)
 
+    results: list[DetectionPair | None] = [None] * len(entries)
     for members in groups.values():
-        action = entries[members[0]][0]
-        assert isinstance(action, ActionRanging)
-        recordings = np.stack(
-            [
-                recording
-                for i in members
-                for recording in (entries[i][4].auth, entries[i][4].vouch)
-            ]
-        )
+        action = entries[members[0]].action
+        captures = []
         scans = []
         for i in members:
-            _, signals, auth_rate, vouch_rate, _ = entries[i]
-            scans.append((signals.auth, signals.vouch, auth_rate))
-            scans.append((signals.vouch, signals.auth, vouch_rate))
-        observations = action.observe_batch(recordings, scans)
+            entry = entries[i]
+            signals = entry.negotiation.signals
+            captures += [recordings[i].auth, recordings[i].vouch]
+            scans.append((signals.auth, signals.vouch, entry.auth_sample_rate))
+            scans.append((signals.vouch, signals.auth, entry.vouch_sample_rate))
+        if type(action) is ActionRanging:
+            observations = action.observe_batch(np.stack(captures), scans)
+        else:
+            observations = [
+                action.observe(capture, own=own, remote=remote, sample_rate=rate)
+                for capture, (own, remote, rate) in zip(captures, scans)
+            ]
         for position, index in enumerate(members):
             results[index] = DetectionPair(
                 auth=observations[2 * position],
                 vouch=observations[2 * position + 1],
             )
-    return [results[index] for index in range(len(entries))]
-
-
-class SessionLike(Protocol):
-    """What the runner needs from a session (satisfied by RangingSession)."""
-
-    context: SessionContext
-    rng: np.random.Generator
-    artifacts: SessionArtifacts
-
-
-@dataclass
-class _PreparedSession:
-    """One session that survived negotiate/schedule/render_noise.
-
-    ``recordings`` is filled in by the batch-stacked arrival phase.
-    """
-
-    index: int
-    session: SessionLike
-    negotiation: NegotiationResult
-    recordings: RenderedRecordings | None = None
+    return results  # type: ignore[return-value]
 
 
 class BatchedSessionRunner:
-    """Runs independent sessions through the pipeline in stacked batches.
+    """The batch loop: runs independent sessions through the three phases.
 
     Parameters
     ----------
     batch_size:
-        Sessions per stacked detection pass; ``None`` selects
-        :data:`DEFAULT_BATCH_SIZE`.  ``1`` degenerates to the serial
-        staged path (useful for equivalence tests); results are identical
-        for every value.
+        Sessions per stacked render/detect pass; ``None`` selects
+        :data:`DEFAULT_BATCH_SIZE`.  Results are identical for every
+        value.
+    stage_timings:
+        Optional wall-clock accounting: when a dict is supplied, each
+        batch accumulates per-phase seconds into it under the keys
+        ``prepare``, ``render`` (the stacked arrival pass), ``detect``
+        and ``decide``.  Used by ``benchmarks/bench_pipeline.py`` and
+        ``tools/profile_pipeline.py``.
     """
 
     def __init__(
@@ -223,12 +296,6 @@ class BatchedSessionRunner:
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
         self.batch_size = batch_size or DEFAULT_BATCH_SIZE
-        #: Optional wall-clock accounting: when a dict is supplied, each
-        #: batch accumulates per-stage seconds into it under the keys
-        #: ``prepare`` (negotiate+schedule+render_noise, the RNG-bound
-        #: phase), ``render`` (the stacked arrival phase), ``detect``,
-        #: and ``decide``.  Used by ``benchmarks/bench_pipeline.py`` and
-        #: ``tools/profile_pipeline.py``; zero overhead when None.
         self.stage_timings = stage_timings
 
     def _account(self, stage: str, started: float) -> float:
@@ -240,80 +307,62 @@ class BatchedSessionRunner:
         return now
 
     def run(
-        self, sessions: Iterable["RangingSession"] | Iterable[SessionLike]
+        self,
+        sessions: Iterable[Session],
+        *,
+        source: CaptureSource | None = None,
+        sink: RoundSink | None = None,
     ) -> list[RangingOutcome]:
         """Execute every session; outcomes come back in input order.
 
         ``sessions`` may be a lazy iterable: it is consumed one batch at
         a time, and nothing from a finished batch is retained here — so a
-        generator-fed run keeps peak memory at O(batch_size) sessions
-        (the caller decides how long its own session objects live).
+        generator-fed run keeps peak memory at O(batch_size) sessions.
+        ``source`` replaces :func:`prepare` (corpus replay); ``sink``
+        observes each round (corpus recording).
         """
         outcomes: list[RangingOutcome] = []
         iterator = iter(sessions)
-        while True:
-            batch = list(itertools.islice(iterator, self.batch_size))
-            if not batch:
-                return outcomes
-            outcomes.extend(self._run_batch(batch))
+        while batch := list(itertools.islice(iterator, self.batch_size)):
+            outcomes.extend(self._run_batch(batch, len(outcomes), source, sink))
+        return outcomes
 
-    # ------------------------------------------------------------------
-
-    def _run_batch(self, sessions: Sequence[SessionLike]) -> list[RangingOutcome]:
+    def _run_batch(
+        self,
+        sessions: Sequence[Session],
+        first: int,
+        source: CaptureSource | None,
+        sink: RoundSink | None,
+    ) -> list[RangingOutcome]:
         outcomes: list[RangingOutcome | None] = [None] * len(sessions)
-        prepared: list[_PreparedSession] = []
-        planned_renders: list[PlannedRender] = []
+        live: list[tuple[int, Session, PreparedRound]] = []
         mark = perf_counter()
-        for index, session in enumerate(sessions):
-            ctx, rng, artifacts = session.context, session.rng, session.artifacts
-            negotiation = negotiate(ctx, rng)
-            if artifacts is not None:
-                artifacts.signals = negotiation.signals
-            if negotiation.failure is not None:
-                outcomes[index] = negotiation.failure
-                continue
-            plan = schedule(ctx, negotiation, rng)
-            if artifacts is not None:
-                record_schedule_artifacts(artifacts, plan)
-            planned_renders.append(render_noise(ctx, plan, rng))
-            prepared.append(
-                _PreparedSession(index, session, negotiation, None)
+        for offset, session in enumerate(sessions):
+            prepared = (
+                prepare(session)
+                if source is None
+                else source(first + offset, session)
             )
-
+            if isinstance(prepared, RangingOutcome):
+                outcomes[offset] = prepared
+                continue
+            if sink is not None:
+                sink.after_prepare(first + offset, session)
+            live.append((offset, session, prepared))
         mark = self._account("prepare", mark)
 
-        # Deterministic arrival phase, stacked across all 2·B captures.
-        for item, recordings in zip(prepared, render_arrivals(planned_renders)):
-            item.recordings = recordings
-            artifacts = item.session.artifacts
-            if artifacts is not None:
-                artifacts.recording_auth = recordings.auth
-                artifacts.recording_vouch = recordings.vouch
+        rounds = [prepared for _, _, prepared in live]
+        recordings = _captures(rounds)
         mark = self._account("render", mark)
-
-        detections_all = self._detect_all(prepared)
+        detections = detect_batch(rounds, recordings)
         mark = self._account("detect", mark)
 
-        for item, detections in zip(prepared, detections_all):
-            outcomes[item.index] = exchange_and_decide(
-                item.session.context,
-                item.negotiation,
-                detections,
-                item.session.rng,
-                item.session.artifacts,
-            )
+        for (offset, session, prepared), captured, pair in zip(
+            live, recordings, detections
+        ):
+            outcome = finish(session, prepared.negotiation, captured, pair)
+            outcomes[offset] = outcome
+            if sink is not None:
+                sink.after_finish(first + offset, prepared, captured, outcome)
         self._account("decide", mark)
-        assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _detect_all(prepared: Sequence[_PreparedSession]) -> list[DetectionPair]:
-        """Step IV for every prepared session, via the shared stacked seam."""
-        return detect_batch(
-            [
-                (item.session.context, item.negotiation, item.recordings)
-                for item in prepared
-            ]
-        )

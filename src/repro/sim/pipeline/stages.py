@@ -1,14 +1,14 @@
 """Typed, pure stages of one ACTION ranging round.
 
-The six protocol steps of :mod:`repro.sim.session` decompose into five
-stages, each a module-level function consuming and producing frozen
-dataclasses:
+The six protocol steps of §IV (Steps I–VI) decompose into five stages,
+each a module-level function consuming and producing frozen dataclasses:
 
 * :func:`negotiate` — Steps I–II: signal construction plus the Bluetooth
   init exchange;
 * :func:`schedule` — Step III: OS audio-path latency draws and the
   event-scheduled playback sequence (including interference providers);
-* :func:`render` — the acoustic mixer produces both microphone captures;
+* :func:`render` — the acoustic mixer produces both microphone captures
+  (split into :func:`render_noise` and :func:`render_arrivals`);
 * :func:`detect` — Step IV: both devices run the detector;
 * :func:`exchange` — Steps V–VI: the vouch report crosses the secure
   channel, Eq. 3 runs, and the cost model charges the battery, producing
@@ -25,18 +25,14 @@ or re-detecting anything — see ``docs/pipeline.md`` and
 :mod:`repro.eval.sweep`.
 
 A stage's only side channels are the per-session RNG it consumes (in
-exactly the order the monolithic ``RangingSession.run`` always drew — see
+exactly the order the pre-refactor monolith,
+:func:`repro.sim.pipeline.reference.run_monolithic`, always drew — see
 ``docs/pipeline.md`` for the determinism argument) and, in the final
 stage, the battery drain on the authenticating device.  Because the
-boundaries between stages carry plain data, a batch runner can execute
-``negotiate``/``schedule`` for B independent trials and then hand all B
-recording pairs to one stacked ``detect`` pass
-(:class:`repro.sim.pipeline.BatchedSessionRunner`), and a future service
-layer can run the stages across async or hardware-backed substrates.
-
-:func:`run_staged` chains the stages for one session;
-:class:`repro.sim.session.RangingSession` is the thin compatibility
-wrapper around it.
+boundaries between stages carry plain data, the round driver
+(:mod:`repro.sim.pipeline.batch`) can execute ``negotiate``/``schedule``
+for B independent trials and then hand all B recording pairs to one
+stacked detection pass, on whichever thread or process runs it.
 """
 
 from __future__ import annotations
@@ -95,7 +91,6 @@ __all__ = [
     "exchange",
     "exchange_and_decide",
     "session_cost",
-    "run_staged",
     "render_call_counts",
     "reset_render_call_counts",
 ]
@@ -670,39 +665,3 @@ def session_cost(
         total_s=elapsed,
     )
     return elapsed, phases.energy_joules(ctx.component_power)
-
-
-def record_schedule_artifacts(
-    artifacts: SessionArtifacts, plan: SchedulePlan
-) -> None:
-    """Copy a schedule's timing facts into the diagnostics object."""
-    artifacts.playbacks = list(plan.playbacks)
-    artifacts.auth_record_start_world = plan.auth_record_start
-    artifacts.vouch_record_start_world = plan.vouch_record_start
-    artifacts.auth_play_world = plan.auth_play_world
-    artifacts.vouch_play_world = plan.vouch_play_world
-
-
-def run_staged(
-    ctx: SessionContext,
-    rng: np.random.Generator,
-    artifacts: SessionArtifacts | None = None,
-) -> RangingOutcome:
-    """Chain the five stages for one session (the serial path)."""
-    negotiation = negotiate(ctx, rng)
-    if artifacts is not None:
-        artifacts.signals = negotiation.signals
-    if negotiation.failure is not None:
-        return negotiation.failure
-
-    plan = schedule(ctx, negotiation, rng)
-    if artifacts is not None:
-        record_schedule_artifacts(artifacts, plan)
-
-    recordings = render(ctx, plan, rng)
-    if artifacts is not None:
-        artifacts.recording_auth = recordings.auth
-        artifacts.recording_vouch = recordings.vouch
-
-    detections = detect(ctx, negotiation, recordings)
-    return exchange_and_decide(ctx, negotiation, detections, rng, artifacts)

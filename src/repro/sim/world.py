@@ -36,7 +36,12 @@ from repro.core.ranging import RangingOutcome
 from repro.devices.device import Device
 from repro.sim.geometry import Point, Room
 from repro.sim.rng import RngFactory
-from repro.sim.session import InterferenceProvider, RangingSession, SessionTiming
+from repro.sim.pipeline import (
+    InterferenceProvider,
+    Session,
+    SessionContext,
+    SessionTiming,
+)
 
 __all__ = ["AcousticWorld"]
 
@@ -155,7 +160,7 @@ class AcousticWorld:
         vouch_name: str,
         interference: Sequence[InterferenceProvider] = (),
         engine=None,
-    ) -> RangingSession:
+    ) -> Session:
         """Build one ACTION session (requires an existing pairing).
 
         ``engine`` overrides the ranging engine — e.g.
@@ -170,7 +175,7 @@ class AcousticWorld:
         self._session_counter += 1
         assert self.propagation is not None
         assert isinstance(self.environment, Environment)
-        return RangingSession(
+        context = SessionContext(
             action=engine if engine is not None else self.action,
             link=link,
             auth_device=self.device(auth_name),
@@ -178,11 +183,11 @@ class AcousticWorld:
             environment=self.environment,
             room=self.room,
             propagation=self.propagation,
-            rng=self.rngs.generator("session"),
             timing=self.timing,
             session_id=self._session_counter,
-            interference=interference,
+            interference=tuple(interference),
         )
+        return Session(context, self.rngs.generator("session"))
 
     def range_once(
         self,

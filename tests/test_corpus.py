@@ -35,7 +35,11 @@ from repro.corpus import (
 )
 from repro.eval.engine import TrialEngine, TrialPlan, TrialSpec, run_cell_spec
 from repro.sim.geometry import Room
-from repro.sim.pipeline import render_call_counts, reset_render_call_counts
+from repro.sim.pipeline import (
+    BatchedSessionRunner,
+    render_call_counts,
+    reset_render_call_counts,
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +94,26 @@ def test_replay_is_batch_size_invariant(recorded, mini_specs, live_cells):
         assert [
             canon(runner.replay_cell(spec)) for spec in mini_specs
         ] == expected
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("path", ["record", "replay", "runner"])
+def test_invalid_batch_size_is_rejected(
+    recorded, mini_specs, tmp_path, path, batch_size
+):
+    """Every batch loop validates its size the same way (the driver's)."""
+    corpus, _ = recorded
+    with pytest.raises(ValueError, match="batch_size"):
+        if path == "record":
+            record_cell_spec(
+                mini_specs[0], CaptureCorpus(tmp_path), batch_size=batch_size
+            )
+        elif path == "replay":
+            ReplayingSessionRunner(
+                corpus.root, batch_size=batch_size
+            ).replay_cell(mini_specs[0])
+        else:
+            BatchedSessionRunner(batch_size)
 
 
 def test_replay_all_reconstructs_specs_from_manifests(

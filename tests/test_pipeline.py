@@ -190,6 +190,21 @@ def test_experiment_tables_batch_invariant(name, trials):
     assert batched == serial
 
 
+def test_cli_batch_flag_keeps_tables(capsys):
+    """``--batch`` reaches the engine and changes no output byte."""
+    from repro.cli import main
+
+    def tables(batch: str) -> list[str]:
+        argv = ["run", "fig1", "--quick", "--trials", "2", "--jobs", "1"]
+        assert main([*argv, "--batch", batch]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line for line in lines if "completed:" not in line]
+
+    serial = tables("1")
+    assert serial
+    assert tables("16") == serial
+
+
 def test_experiment_tables_backend_invariant():
     """Auto-selection (and any probe-passing backend) leaves table bytes.
 

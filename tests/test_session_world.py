@@ -11,7 +11,7 @@ from repro import (
     RangingStatus,
     Room,
 )
-from repro.sim.session import SessionTiming
+from repro.sim.pipeline import SessionTiming
 from tests.conftest import make_pair_world
 
 
