@@ -647,7 +647,14 @@ def main() -> int:
         scaled_concurrency=args.scaled_concurrency,
         include_scaled=not args.no_scaled,
     )
-    Path(args.output).write_text(json.dumps(document, indent=2) + "\n")
+    output = Path(args.output)
+    if output.exists():
+        # perfbench before/after rows are measured by perfbench/run.py,
+        # not here: keep them across regenerations.
+        ledger = json.loads(output.read_text()).get("perfbench_ledger")
+        if ledger is not None:
+            document["perfbench_ledger"] = ledger
+    output.write_text(json.dumps(document, indent=2) + "\n")
     print(json.dumps(document, indent=2))
     print(f"\nwritten to {args.output}")
     return 0

@@ -45,17 +45,16 @@ __all__ = ["DSPBackend", "CHUNK_ENV_VAR", "DEFAULT_FFT_CHUNK_WINDOWS"]
 #: of windows per FFT kernel call).
 CHUNK_ENV_VAR = "REPRO_DSP_CHUNK"
 
-#: Default windows-per-dispatch ceiling.  Since the detector moved to
-#: zero-copy strided slabs there is no per-chunk gather buffer to keep
-#: cache-resident — the FFT kernel's transient is one spectrum row plus
-#: the (n_windows, n_bins) output — and measurement shows splitting a
-#: scan's run into smaller dispatches only adds overhead (chunk 64 cost
-#: ~30 % more per window than one 241-window dispatch on the benchmark
-#: host).  The ceiling therefore only bounds transient memory for very
-#: large window batches (512 × 4096 → a 16 MB spectrum block); every
-#: hot-path run (fine pass: 241 windows, coarse pass: ≤ 70) dispatches
-#: whole.  Chunking is row-independent, so any value is bit-identical.
-DEFAULT_FFT_CHUNK_WINDOWS = 512
+#: Default windows-per-dispatch ceiling.  It bounds the FFT kernel's
+#: transient, the (n_windows, n_bins) spectrum block: 64 × 4096-point
+#: windows is about 2 MB, so the render/detect fan-out's threads hold
+#: little spectrum at once and peak memory stays flat as they are added.
+#: Smaller dispatches cost no speed, although they split the 241-window
+#: fine pass into four: on a 2-core x86 host one unfanned process ran
+#: the Fig. 1 grid (batch 16) at a median 23.5 trials/s with 64-window
+#: chunks against 22.8 with 512, over six interleaved runs each.
+#: Chunking is row-independent, so any value is bit-identical.
+DEFAULT_FFT_CHUNK_WINDOWS = 64
 
 
 class DSPBackend:

@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence, TypeVar
 from repro.acoustics.environment import Environment
 from repro.core.config import ProtocolConfig
 from repro.sim.geometry import Point, Room
-from repro.sim.pipeline import BatchedSessionRunner, Session
+from repro.sim.pipeline import BatchedSessionRunner, Session, set_fanout_width
 from repro.sim.world import AcousticWorld
 
 from repro.eval.engine.cache import MeasurementCache
@@ -265,7 +265,13 @@ class TrialEngine:
 
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            # The workers already split the plan across cores; a
+            # per-worker render/detect fan-out would oversubscribe them.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=set_fanout_width,
+                initargs=(1,),
+            )
         return self._pool
 
     def _report(self, message: str) -> None:

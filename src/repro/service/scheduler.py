@@ -59,6 +59,7 @@ from repro.sim.pipeline import (
     RenderedRecordings,
     SessionContext,
     render_and_detect,
+    set_fanout_width,
 )
 
 # Bound for perfbench/layers.py, which wraps the stages under each
@@ -280,9 +281,13 @@ class BatchingScheduler:
             return
         if self._executor is None:
             if self.dsp_executor == "process":
+                # One pass per worker process: a per-worker fan-out
+                # would oversubscribe the cores the pool already uses.
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.dsp_workers,
                     mp_context=multiprocessing.get_context("spawn"),
+                    initializer=set_fanout_width,
+                    initargs=(1,),
                 )
                 loop = asyncio.get_running_loop()
                 await asyncio.gather(

@@ -44,9 +44,11 @@ from repro.sim.pipeline.batch import (
     PreparedRound,
     Session,
     detect_batch,
+    fanout_width,
     finish,
     prepare,
     render_and_detect,
+    set_fanout_width,
 )
 from repro.sim.pipeline.reference import run_monolithic
 from repro.sim.pipeline.stages import (
@@ -93,6 +95,7 @@ __all__ = [
     "detect_batch",
     "exchange",
     "exchange_and_decide",
+    "fanout_width",
     "finish",
     "negotiate",
     "prepare",
@@ -106,4 +109,5 @@ __all__ = [
     "run_monolithic",
     "schedule",
     "session_cost",
+    "set_fanout_width",
 ]

@@ -33,11 +33,31 @@ Sessions whose ranging engine is not the stock
 :class:`~repro.core.action.ActionRanging` (e.g. the ACTION-CC ablation)
 are detected one by one with their own engine; everything else about
 the batch still applies.
+
+Phase 2 fans out across cores.  ``render_arrivals`` and then
+``detect_batch`` each run over at most :func:`fanout_width` contiguous
+slices of the batch — one on the calling thread, the rest on a
+process-wide thread pool — and the slices' results are concatenated in
+input order.  numpy's FFT and the power arithmetic release the GIL, so
+the slices overlap wherever those kernels dominate; rounds with short
+captures (:data:`FANOUT_MIN_CAPTURE_SAMPLES`) run inline.  Slicing is
+only another batch composition, so the fan-out is bit-identical at
+every width.  Each slice runs in a copy of the caller's
+:mod:`contextvars` context, so context-scoped tracing follows the work
+onto pool threads.  The pool is built lazily and forgotten in a forked
+child: the parent's pool threads do not exist there, and work queued on
+them would never run.  Process-pool workers that already split a plan
+across cores pin the width to 1 through their pool initializer
+(:func:`set_fanout_width`).
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable, Protocol, Sequence
@@ -63,13 +83,16 @@ from repro.sim.pipeline.stages import (
 __all__ = [
     "BatchedSessionRunner",
     "DEFAULT_BATCH_SIZE",
+    "FANOUT_MIN_CAPTURE_SAMPLES",
     "PreparedRound",
     "RoundSink",
     "Session",
     "detect_batch",
+    "fanout_width",
     "finish",
     "prepare",
     "render_and_detect",
+    "set_fanout_width",
 ]
 
 #: Auto batch size: large enough that the shared coarse pass and the
@@ -78,6 +101,92 @@ __all__ = [
 #: footprint.  (FFT work is chunked independently — see the calibrated
 #: :attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows`.)
 DEFAULT_BATCH_SIZE = 16
+
+#: Mean capture length, in samples, below which a step runs unfanned.
+#: Slices overlap only inside GIL-free kernels (FFT, power arithmetic,
+#: convolution), whose share of a round grows with its capture length.
+#: On a 2-core x86 host the paper profile's 70 560-sample captures
+#: detected 1.6× faster at width 2, while the corpus mini profile's
+#: 6 400-sample captures, mostly Python bookkeeping, replayed up to a
+#: quarter slower through GIL contention.
+FANOUT_MIN_CAPTURE_SAMPLES = 32_768
+
+#: Pinned fan-out width; ``None`` follows the usable CPUs.
+_WIDTH: int | None = None
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool but not its threads.
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def set_fanout_width(width: int | None) -> None:
+    """Pin the render/detect fan-out width of this process.
+
+    ``None`` restores the default, the number of usable CPUs.  Process
+    pools pass 1 through their initializer, so ``--jobs N`` does not run
+    N × cpus threads.  Results are identical at every width.
+    """
+    global _WIDTH
+    if width is not None and width < 1:
+        raise ValueError(f"fan-out width must be >= 1, got {width!r}")
+    _WIDTH = width
+
+
+def fanout_width() -> int:
+    """Most slices one render or detect step is split into."""
+    if _WIDTH is not None:
+        return _WIDTH
+    return len(os.sched_getaffinity(0))
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(thread_name_prefix="repro-fanout")
+        return _POOL
+
+
+def _fan_out(
+    step: Callable[..., list], *columns: Sequence, samples: int
+) -> list:
+    """``step(*columns)``, run as contiguous row slices in parallel.
+
+    ``columns`` are equal-length sequences of rounds sliced together;
+    ``step`` must map a slice to one result per round.  ``samples`` is
+    the rounds' total capture length (two captures per round).  The
+    first slice runs on the calling thread, the others on the pool, each
+    in a copy of the caller's context; results come back in input order.
+    """
+    rows = len(columns[0])
+    width = min(fanout_width(), rows)
+    if width < 2 or samples < 2 * rows * FANOUT_MIN_CAPTURE_SAMPLES:
+        return step(*columns)
+    bounds = [rows * k // width for k in range(width + 1)]
+    slices = [
+        [column[lo:hi] for column in columns]
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    pool = _pool()
+    futures = [
+        pool.submit(contextvars.copy_context().run, step, *args)
+        for args in slices[1:]
+    ]
+    try:
+        results = step(*slices[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        results.extend(future.result())
+    return results
 
 
 @dataclass(eq=False)
@@ -181,10 +290,13 @@ def prepare(session: Session) -> PreparedRound | RangingOutcome:
 
 def _captures(rounds: Sequence[PreparedRound]) -> list[RenderedRecordings]:
     """Every round's captures: supplied ones as they are, the rest
-    rendered in one stacked pass (skipped when nothing needs rendering).
+    rendered in stacked passes (skipped when nothing needs rendering).
     """
     planned = [item.planned for item in rounds if item.recordings is None]
-    rendered = iter(render_arrivals(planned) if planned else ())
+    samples = sum(item.auth.n_samples + item.vouch.n_samples for item in planned)
+    rendered = iter(
+        _fan_out(render_arrivals, planned, samples=samples) if planned else ()
+    )
     return [
         item.recordings if item.recordings is not None else next(rendered)
         for item in rounds
@@ -196,11 +308,20 @@ def render_and_detect(
 ) -> list[tuple[RenderedRecordings, DetectionPair]]:
     """Phase 2: the RNG-free DSP of a batch — stacked render, stacked detect.
 
-    Results come back in input order, bit-identical for every batch
-    composition, on whichever thread or process this runs.
+    Each step is fanned out over contiguous slices of the batch (see the
+    module docstring).  Results come back in input order, bit-identical
+    for every batch composition and fan-out width, on whichever thread
+    or process this runs.
     """
     recordings = _captures(rounds)
-    return list(zip(recordings, detect_batch(rounds, recordings)))
+    return list(zip(recordings, _detections(rounds, recordings)))
+
+
+def _detections(
+    rounds: Sequence[PreparedRound], recordings: Sequence[RenderedRecordings]
+) -> list[DetectionPair]:
+    samples = sum(item.auth.size + item.vouch.size for item in recordings)
+    return _fan_out(detect_batch, rounds, recordings, samples=samples)
 
 
 def finish(
@@ -354,7 +475,7 @@ class BatchedSessionRunner:
         rounds = [prepared for _, _, prepared in live]
         recordings = _captures(rounds)
         mark = self._account("render", mark)
-        detections = detect_batch(rounds, recordings)
+        detections = _detections(rounds, recordings)
         mark = self._account("detect", mark)
 
         for (offset, session, prepared), captured, pair in zip(

@@ -37,6 +37,7 @@ stacked detection pass, on whichever thread or process runs it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -318,9 +319,16 @@ class RoundEvidence:
 # arrival phase.  The counters exist so sweeps can *prove* their
 # O(renders) claim — a 16-threshold ROC sweep must log exactly the same
 # counts as a 1-threshold run (tests/test_sweep.py, tools/roc_smoke.py).
-# Plain ints, no locking: render stages run on one thread per process,
-# and the counters are diagnostics, never inputs to any computation.
+# The round driver runs render_arrivals on several threads at once, so
+# updates take a lock; the counters are diagnostics, never inputs to any
+# computation.
 _RENDER_CALLS = {"noise_plans": 0, "arrival_captures": 0}
+_RENDER_CALLS_LOCK = threading.Lock()
+
+
+def _count_render(key: str, amount: int) -> None:
+    with _RENDER_CALLS_LOCK:
+        _RENDER_CALLS[key] += amount
 
 
 def render_call_counts() -> dict[str, int]:
@@ -330,13 +338,15 @@ def render_call_counts() -> dict[str, int]:
     ``arrival_captures`` counts capture jobs finalized by
     :func:`render_arrivals` (two per session).
     """
-    return dict(_RENDER_CALLS)
+    with _RENDER_CALLS_LOCK:
+        return dict(_RENDER_CALLS)
 
 
 def reset_render_call_counts() -> None:
     """Zero the render counters (test/benchmark bookkeeping)."""
-    for key in _RENDER_CALLS:
-        _RENDER_CALLS[key] = 0
+    with _RENDER_CALLS_LOCK:
+        for key in _RENDER_CALLS:
+            _RENDER_CALLS[key] = 0
 
 
 def radiated_reference_waveform(
@@ -487,7 +497,7 @@ def render_noise(
     any trial's stream.  The returned :class:`PlannedRender` is pure data;
     everything after it is deterministic.
     """
-    _RENDER_CALLS["noise_plans"] += 1
+    _count_render("noise_plans", 1)
     mixer = AcousticMixer(
         environment=ctx.environment,
         room=ctx.room,
@@ -521,7 +531,7 @@ def render_arrivals(planned: Sequence[PlannedRender]) -> list[RenderedRecordings
     path — same kernels, same calls).
     """
     jobs = [job for item in planned for job in (item.auth, item.vouch)]
-    _RENDER_CALLS["arrival_captures"] += len(jobs)
+    _count_render("arrival_captures", len(jobs))
     recordings = render_capture_jobs(jobs)
     return [
         RenderedRecordings(auth=recordings[2 * i], vouch=recordings[2 * i + 1])
