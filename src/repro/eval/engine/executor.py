@@ -266,7 +266,8 @@ class TrialEngine:
     def _executor(self) -> ProcessPoolExecutor:
         if self._pool is None:
             # The workers already split the plan across cores; a
-            # per-worker render/detect fan-out would oversubscribe them.
+            # per-worker prepare/render/detect fan-out would
+            # oversubscribe them.
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=set_fanout_width,

@@ -49,6 +49,7 @@ from repro.sim.pipeline.batch import (
     prepare,
     render_and_detect,
     set_fanout_width,
+    usable_cpus,
 )
 from repro.sim.pipeline.reference import run_monolithic
 from repro.sim.pipeline.stages import (
@@ -110,4 +111,5 @@ __all__ = [
     "schedule",
     "session_cost",
     "set_fanout_width",
+    "usable_cpus",
 ]

@@ -34,21 +34,30 @@ Sessions whose ranging engine is not the stock
 are detected one by one with their own engine; everything else about
 the batch still applies.
 
-Phase 2 fans out across cores.  ``render_arrivals`` and then
-``detect_batch`` each run over at most :func:`fanout_width` contiguous
-slices of the batch — one on the calling thread, the rest on a
-process-wide thread pool — and the slices' results are concatenated in
-input order.  numpy's FFT and the power arithmetic release the GIL, so
-the slices overlap wherever those kernels dominate; rounds with short
-captures (:data:`FANOUT_MIN_CAPTURE_SAMPLES`) run inline.  Slicing is
-only another batch composition, so the fan-out is bit-identical at
-every width.  Each slice runs in a copy of the caller's
-:mod:`contextvars` context, so context-scoped tracing follows the work
-onto pool threads.  The pool is built lazily and forgotten in a forked
-child: the parent's pool threads do not exist there, and work queued on
-them would never run.  Process-pool workers that already split a plan
-across cores pin the width to 1 through their pool initializer
-(:func:`set_fanout_width`).
+Phases 1 and 2 fan out across cores.  :func:`prepare`, then
+``render_arrivals``, then ``detect_batch`` each run over at most
+:func:`fanout_width` contiguous slices of the batch — one on the calling
+thread, the rest on a process-wide thread pool — and the slices' results
+are concatenated in input order.  numpy's normal fills, FFT and power
+arithmetic release the GIL, so the slices overlap wherever those kernels
+dominate; rounds with short captures (:data:`FANOUT_MIN_CAPTURE_SAMPLES`)
+run inline.  Phase 2 is RNG-free, so slicing it is only another batch
+composition.  Phase 1 draws from each session's own stream and fans out
+only when the batch's sessions are independent: no two share, by
+identity, the RNG, the artifacts, the Bluetooth link (whose transcript
+``negotiate`` appends to), a device, an interference provider, or a
+ranging engine other than the stateless stock
+:class:`~repro.core.action.ActionRanging`.  A batch built from one shared
+world prepares serially.  Either way every session consumes only its own
+stream, so the fan-out is bit-identical at every width.  Bluetooth
+failures, the sink's ``after_prepare`` calls, replay's capture source
+and phase 3 stay on the calling thread, in input order.  Each slice runs
+in a copy of the caller's :mod:`contextvars` context, so context-scoped
+tracing follows the work onto pool threads.  The pool is built lazily
+and forgotten in a forked child: the parent's pool threads do not exist
+there, and work queued on them would never run.  Process-pool workers
+that already split a plan across cores pin the width to 1 through their
+pool initializer (:func:`set_fanout_width`).
 """
 
 from __future__ import annotations
@@ -93,6 +102,7 @@ __all__ = [
     "prepare",
     "render_and_detect",
     "set_fanout_width",
+    "usable_cpus",
 ]
 
 #: Auto batch size: large enough that the shared coarse pass and the
@@ -128,7 +138,7 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 
 def set_fanout_width(width: int | None) -> None:
-    """Pin the render/detect fan-out width of this process.
+    """Pin the prepare/render/detect fan-out width of this process.
 
     ``None`` restores the default, the number of usable CPUs.  Process
     pools pass 1 through their initializer, so ``--jobs N`` does not run
@@ -140,11 +150,19 @@ def set_fanout_width(width: int | None) -> None:
     _WIDTH = width
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS, Windows
+        return os.cpu_count() or 1
+
+
 def fanout_width() -> int:
-    """Most slices one render or detect step is split into."""
+    """Most slices one prepare, render or detect step is split into."""
     if _WIDTH is not None:
         return _WIDTH
-    return len(os.sched_getaffinity(0))
+    return usable_cpus()
 
 
 def _pool() -> ThreadPoolExecutor:
@@ -288,6 +306,41 @@ def prepare(session: Session) -> PreparedRound | RangingOutcome:
     )
 
 
+def _prepare_all(
+    sessions: Sequence[Session],
+) -> list[PreparedRound | RangingOutcome]:
+    return [prepare(session) for session in sessions]
+
+
+def _independent(sessions: Sequence[Session]) -> bool:
+    """Whether no two sessions share an object :func:`prepare` mutates or
+    draws from — the precondition for preparing them concurrently.
+
+    Stock :class:`~repro.core.action.ActionRanging` is stateless and may
+    be shared; any other engine counts as state, as in
+    :func:`detect_batch`.
+    """
+    seen: set[int] = set()
+    for session in sessions:
+        ctx = session.context
+        state = [
+            session.rng,
+            session.rng.bit_generator,
+            session.artifacts,
+            ctx.link,
+            ctx.auth_device,
+            ctx.vouch_device,
+            *ctx.interference,
+        ]
+        if type(ctx.action) is not ActionRanging:
+            state.append(ctx.action)
+        owned = {id(item) for item in state}
+        if not seen.isdisjoint(owned):
+            return False
+        seen |= owned
+    return True
+
+
 def _captures(rounds: Sequence[PreparedRound]) -> list[RenderedRecordings]:
     """Every round's captures: supplied ones as they are, the rest
     rendered in stacked passes (skipped when nothing needs rendering).
@@ -405,7 +458,9 @@ class BatchedSessionRunner:
         Optional wall-clock accounting: when a dict is supplied, each
         batch accumulates per-phase seconds into it under the keys
         ``prepare``, ``render`` (the stacked arrival pass), ``detect``
-        and ``decide``.  Used by ``benchmarks/bench_pipeline.py`` and
+        and ``decide``.  The first three are wall time of a phase that
+        may be fanned out across threads, not summed per-thread time.
+        Used by ``benchmarks/bench_pipeline.py`` and
         ``tools/profile_pipeline.py``.
     """
 
@@ -458,12 +513,17 @@ class BatchedSessionRunner:
         outcomes: list[RangingOutcome | None] = [None] * len(sessions)
         live: list[tuple[int, Session, PreparedRound]] = []
         mark = perf_counter()
-        for offset, session in enumerate(sessions):
-            prepared = (
-                prepare(session)
-                if source is None
-                else source(first + offset, session)
-            )
+        if source is not None:
+            phase_one = [
+                source(first + offset, session)
+                for offset, session in enumerate(sessions)
+            ]
+        elif _independent(sessions):
+            samples = sum(2 * s.context.record_samples for s in sessions)
+            phase_one = _fan_out(_prepare_all, sessions, samples=samples)
+        else:
+            phase_one = _prepare_all(sessions)
+        for offset, (session, prepared) in enumerate(zip(sessions, phase_one)):
             if isinstance(prepared, RangingOutcome):
                 outcomes[offset] = prepared
                 continue

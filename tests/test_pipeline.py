@@ -205,6 +205,25 @@ def test_cli_batch_flag_keeps_tables(capsys):
     assert tables("16") == serial
 
 
+def test_cli_jobs_flag_keeps_tables(capsys):
+    """``--jobs`` reaches the engine and changes no output byte.
+
+    Pool workers run unfanned, so this also compares fanned-out prepare,
+    render and detect (``--jobs 1``) against the unfanned phases.
+    """
+    from repro.cli import main
+
+    def tables(jobs: str) -> list[str]:
+        argv = ["run", "fig1", "--quick", "--trials", "2"]
+        assert main([*argv, "--jobs", jobs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line for line in lines if "completed:" not in line]
+
+    serial = tables("1")
+    assert serial
+    assert tables("2") == serial
+
+
 def test_experiment_tables_backend_invariant():
     """Auto-selection (and any probe-passing backend) leaves table bytes.
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import os
 import pstats
 from time import perf_counter
 
@@ -34,7 +33,7 @@ from repro.core.decisions import ThresholdGridPolicy
 from repro.dsp.backend import get_backend, select_backend, set_backend
 from repro.eval.engine import AUTH, VOUCH, TrialSpec, build_pair_world
 from repro.eval.sweep import DEFAULT_ROC_THRESHOLDS
-from repro.sim.pipeline import BatchedSessionRunner, fanout_width
+from repro.sim.pipeline import BatchedSessionRunner, fanout_width, usable_cpus
 
 try:  # pragma: no cover - import-path convenience
     from benchmarks.bench_pipeline import _fig1_specs
@@ -104,7 +103,7 @@ def main() -> int:
     print(
         f"plan: fig1 x {args.trials} trials/cell = {n_trials} trials, "
         f"batch={args.batch}, dsp-backend={backend.name}, "
-        f"cpus={len(os.sched_getaffinity(0))}, fan-out={fanout_width()}"
+        f"cpus={usable_cpus()}, fan-out={fanout_width()}"
     )
 
     if args.mode == "wall":
