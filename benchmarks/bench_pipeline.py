@@ -12,13 +12,10 @@ environments × four distances) for
 * ``batched_N`` — :class:`BatchedSessionRunner` at batch sizes 1/8/16/32
   (current ``--batch N``).
 
-All variants under the default DSP backend produce bit-identical outcomes
-(asserted here as well); only the wall clock may differ.  The document
-additionally records a per-stage wall-clock split of the ``batched_16``
-run (RNG-bound prepare, stacked render, stacked detect, decide), a
-per-DSP-backend ``batched_16`` row for every backend importable on the
-host (with its bit-compatibility probe result), and two service
-sections:
+All variants produce bit-identical outcomes (asserted here as well);
+only the wall clock may differ.  The document additionally records a
+per-stage wall-clock split of the ``batched_16`` run (RNG-bound prepare,
+stacked render, stacked detect, decide) and two service sections:
 
 * **service** — requests/s through the streaming auth service
   (``repro.service``) at concurrency 1/8/32 with DSP batching on and
@@ -60,13 +57,6 @@ from time import perf_counter
 
 from repro.acoustics.environment import FIGURE1_ENVIRONMENTS
 from repro.core.detection import FrequencyDetector
-from repro.dsp.backend import (
-    NumpyBackend,
-    available_backends,
-    create_backend,
-    probe_bit_compatible,
-    use_backend,
-)
 from repro.eval.engine import AUTH, VOUCH, TrialSpec, build_pair_world
 from repro.sim.pipeline import BatchedSessionRunner, run_monolithic
 
@@ -125,32 +115,6 @@ def _measure(specs, executor, reps: int):
 
 def _pre_refactor_executor(sessions):
     return [run_monolithic(s.context, s.rng, s.artifacts) for s in sessions]
-
-
-def _measure_backends(specs, staged, reps: int, numpy_row: dict) -> dict:
-    """``batched_16`` throughput per importable DSP backend.
-
-    The numpy row reuses the main benchmark's ``batched_16`` measurement
-    (the main runs are pinned to the numpy reference backend); other
-    rows note their bit-compatibility probe result and — when the probe
-    holds on this host — assert outcome equality against the staged run.
-    """
-    rows = {"numpy": dict(numpy_row, bit_compatible_on_host=True)}
-    for name in available_backends():
-        if name == NumpyBackend.name:
-            continue
-        backend = create_backend(name)
-        compatible = probe_bit_compatible(backend)
-        with use_backend(backend):
-            runner = BatchedSessionRunner(16)
-            measurement, outcomes = _measure(specs, runner.run, reps)
-        if compatible:
-            assert outcomes == staged, (
-                f"backend {name} probed bit-compatible but outcomes diverged"
-            )
-        measurement["bit_compatible_on_host"] = compatible
-        rows[name] = measurement
-    return rows
 
 
 def _measure_stages(specs) -> dict:
@@ -439,49 +403,40 @@ def run_benchmark(
     scaled_concurrency: int = 8,
     include_scaled: bool = True,
 ) -> dict:
-    """Measure every variant; returns the JSON-ready result document.
-
-    The main variant runs are pinned to the numpy reference backend so
-    the document's headline rows never depend on the host's
-    auto-selection outcome; the per-backend section then covers the
-    alternates.
-    """
+    """Measure every variant; returns the JSON-ready result document."""
     specs = _fig1_specs(trials)
     results = {}
 
-    with use_backend("numpy"):
-        original = FrequencyDetector.candidate_powers
-        FrequencyDetector.candidate_powers = (
-            FrequencyDetector.candidate_powers_reference
+    original = FrequencyDetector.candidate_powers
+    FrequencyDetector.candidate_powers = (
+        FrequencyDetector.candidate_powers_reference
+    )
+    try:
+        results["pre_refactor_per_session"], baseline = _measure(
+            specs, _pre_refactor_executor, reps
         )
-        try:
-            results["pre_refactor_per_session"], baseline = _measure(
-                specs, _pre_refactor_executor, reps
-            )
-        finally:
-            FrequencyDetector.candidate_powers = original
+    finally:
+        FrequencyDetector.candidate_powers = original
 
-        results["staged_per_session"], staged = _measure(
-            specs, lambda sessions: [s.run() for s in sessions], reps
+    results["staged_per_session"], staged = _measure(
+        specs, lambda sessions: [s.run() for s in sessions], reps
+    )
+    for batch in BATCH_SIZES:
+        runner = BatchedSessionRunner(batch)
+        results[f"batched_{batch}"], outcomes = _measure(
+            specs, runner.run, reps
         )
-        for batch in BATCH_SIZES:
-            runner = BatchedSessionRunner(batch)
-            results[f"batched_{batch}"], outcomes = _measure(
-                specs, runner.run, reps
-            )
-            assert outcomes == staged, (
-                f"batched_{batch} outcomes diverged from the staged path"
-            )
-        stages = _measure_stages(specs)
-        roc_sweep = _measure_roc_sweep(trials)
-        # Measured after the trial variants so the process-wide caches
-        # (sine rows, SOS designs, FFT plans) are warm, as they would be
-        # in a long-running service.
-        service = _measure_service(
-            service_requests, service_rounds, service_reps
+        assert outcomes == staged, (
+            f"batched_{batch} outcomes diverged from the staged path"
         )
-        # The sharded tier spawns real worker processes; they select the
-        # backend themselves (env var), so this runs outside use_backend.
+    stages = _measure_stages(specs)
+    roc_sweep = _measure_roc_sweep(trials)
+    # Measured after the trial variants so the process-wide caches
+    # (sine rows, SOS designs, FFT plans) are warm, as they would be
+    # in a long-running service.
+    service = _measure_service(
+        service_requests, service_rounds, service_reps
+    )
     service_scaled = (
         _measure_service_scaled(
             SERVICE_SCALED_WORKERS,
@@ -512,9 +467,6 @@ def run_benchmark(
         },
         "results": results,
         "stages_batched_16": stages,
-        "backends_batched_16": _measure_backends(
-            specs, staged, reps, results["batched_16"]
-        ),
         "roc_sweep": roc_sweep,
         "service": service,
         "service_scaled": service_scaled,
@@ -530,8 +482,8 @@ def run_benchmark(
             ),
         },
         "notes": (
-            "single-process; outcomes bit-identical across all variants "
-            "under the default DSP backend; pre_refactor_per_session swaps "
+            "single-process; outcomes bit-identical across all variants; "
+            "pre_refactor_per_session swaps "
             "candidate_powers for the preserved reference implementation; "
             "stage split: prepare = RNG-bound negotiate/schedule/"
             "render_noise, render = stacked arrival phase, detect = "

@@ -267,8 +267,8 @@ def _realized_arrival_signals(
 
     Equal-shape (waveform, taps) pairs across *all* jobs are stacked into
     one batched-convolution kernel call; remaining singletons use the
-    scalar kernel.  Keyed by ``(job_index, arrival_index)``.  The default
-    backend's batched kernel is row-wise ``np.convolve``, so grouping is
+    scalar kernel.  Keyed by ``(job_index, arrival_index)``.  The
+    batched kernel is row-wise ``np.convolve``, so grouping is
     purely a dispatch decision and never changes a value.
     """
     backend = get_backend()

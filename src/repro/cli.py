@@ -29,17 +29,10 @@ session pipeline preserves each trial's RNG stream exactly
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Sequence
 
-from repro.dsp.backend import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    select_backend,
-    set_backend,
-)
 from repro.eval.engine import (
     MeasurementCache,
     TrialEngine,
@@ -96,19 +89,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
             "recorded there replay render-free (detect/decide only, "
             "byte-verified), cells executed live are recorded into it "
             "(docs/corpus.md)"
-        ),
-    )
-    parser.add_argument(
-        "--dsp-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "DSP kernel backend for the spectral hot paths: "
-            f"{', '.join(available_backends())}, or 'auto' (default: the "
-            f"{BACKEND_ENV_VAR} env var if set, else auto — a per-host "
-            "probe that only ever picks kernels bit-identical to the "
-            "numpy reference; named non-numpy backends run within "
-            "documented float tolerance instead)"
         ),
     )
     parser.add_argument(
@@ -246,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "count decision mismatches per entry instead of failing on "
-            "the first (for replaying under a deliberately different "
-            "detector or backend)"
+            "the first (for replaying under a deliberately changed "
+            "detector)"
         ),
     )
     replay_parser.add_argument(
@@ -276,15 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the replay report as JSON instead of text",
-    )
-    replay_parser.add_argument(
-        "--dsp-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "DSP kernel backend, as for run/run-all: "
-            f"{', '.join(available_backends())}, or 'auto'"
-        ),
     )
 
     scenario_parser = sub.add_parser(
@@ -413,11 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--dsp-backend",
+        choices=("numpy",),
         default=None,
-        metavar="NAME",
         help=(
-            "DSP kernel backend, as for run/run-all: "
-            f"{', '.join(available_backends())}, or 'auto'"
+            "accepted for compatibility and ignored: numpy is the only "
+            "DSP kernel set"
         ),
     )
     serve_parser.add_argument(
@@ -792,29 +763,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_dsp_backend(args: argparse.Namespace) -> None:
-    """Install the requested DSP backend, process-wide and for workers.
-
-    The env var is set *before* the engine's process pool exists, so
-    worker processes inherit the choice whether they fork or spawn.
-    """
-    name = getattr(args, "dsp_backend", None)
-    if name is None:
-        return
-    try:
-        backend = select_backend(name)
-    except ValueError as error:
-        raise SystemExit(f"--dsp-backend: {error}") from None
-    os.environ[BACKEND_ENV_VAR] = backend.name
-    set_backend(backend)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list":
             return _cmd_list()
-        _apply_dsp_backend(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "capture":

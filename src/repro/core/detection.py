@@ -35,10 +35,8 @@ implementation therefore
   paid (measured ~2× faster on the stride-10 fine pass, bit-identical —
   pocketfft's row copy produces the very same window contents);
 * dispatches all FFT/power arithmetic through the process-wide
-  :mod:`repro.dsp.backend` kernel provider.  The default backend is the
-  bit-compatible numpy reference; alternates (scipy ``workers=``,
-  pyFFTW, MKL) are opt-in or auto-selected only after a bit-equality
-  probe on the running host (see ``docs/pipeline.md``).
+  :mod:`repro.dsp.backend` kernel instance (the numpy reference; see
+  ``docs/pipeline.md``).
 
 The scan logic is split into phases (coarse powers → fine-pass planning →
 resolution) so that :meth:`candidate_powers_stacked` can run the window
@@ -59,7 +57,7 @@ import numpy as np
 from repro.core.config import ProtocolConfig
 from repro.core.frequencies import FrequencyPlan, build_frequency_plan
 from repro.core.signal_construction import ReferenceSignal
-from repro.dsp.backend import get_backend
+from repro.dsp.backend import DEFAULT_FFT_CHUNK_WINDOWS, get_backend
 from repro.dsp.windows import refine_range, window_starts
 
 __all__ = ["SignalHypothesis", "DetectionResult", "FrequencyDetector"]
@@ -139,17 +137,11 @@ class DetectionResult:
 class FrequencyDetector:
     """The frequency-based detector of §IV-C, for a fixed configuration."""
 
-    #: Ceiling on the windows per FFT dispatch.  The per-window FFT is
-    #: memory-bound, so the sweet spot keeps one chunk's transient
-    #: spectrum buffers cache-resident — and the right value varies by
-    #: host (measured 2× swings between 128 and 256 on cache-constrained
-    #: machines).  ``None`` (the default) defers to the active DSP
-    #: backend's per-host calibration
-    #: (:attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows`); set a
-    #: positive int here (or the ``REPRO_DSP_CHUNK`` env var) to pin it.
-    #: FFT results are row-wise independent, so chunking never changes a
-    #: single output bit.
-    MAX_FFT_WINDOWS: int | None = None
+    #: Ceiling on the windows per FFT dispatch
+    #: (:data:`repro.dsp.backend.DEFAULT_FFT_CHUNK_WINDOWS`); tests pin
+    #: other values.  FFT results are row-wise independent, so chunking
+    #: never changes a single output bit.
+    MAX_FFT_WINDOWS: int = DEFAULT_FFT_CHUNK_WINDOWS
 
     #: Minimum length of a constant-stride start run that is worth
     #: dispatching as a strided slab; shorter runs (and irregular starts)
@@ -180,12 +172,6 @@ class FrequencyDetector:
         return get_backend().window_powers(
             batch, self._rfft_aggregation_bins, self.config.signal_length
         )
-
-    def _chunk_windows(self) -> int:
-        """Effective FFT dispatch ceiling (override or backend-calibrated)."""
-        if self.MAX_FFT_WINDOWS is not None:
-            return self.MAX_FFT_WINDOWS
-        return get_backend().fft_chunk_windows
 
     @staticmethod
     def _regular_runs(starts: np.ndarray) -> list[tuple[int, int, int]]:
@@ -225,7 +211,7 @@ class FrequencyDetector:
         kernel), so the split is purely a scheduling decision.
         """
         length = self.config.signal_length
-        chunk = self._chunk_windows()
+        chunk = self.MAX_FFT_WINDOWS
         view = np.lib.stride_tricks.sliding_window_view(recording, length)
         out = np.empty(
             (starts.size, self.plan.n_candidates), dtype=np.float64
@@ -276,8 +262,8 @@ class FrequencyDetector:
         This is the single seam the batched pipeline (and any future
         GPU/remote substrate) drives: one call covers the FFT work of
         every scan of a :class:`~repro.sim.pipeline.BatchedSessionRunner`
-        batch.  Each job's window grid is dispatched through the active
-        DSP backend's strided-slab kernel — an earlier revision flattened
+        batch.  Each job's window grid is dispatched through the DSP
+        kernels as strided slabs — an earlier revision flattened
         all jobs into one absolute-offset gather, but that destroyed the
         grids' stride regularity and forced an 8 MB/chunk window copy the
         slab path never pays; per-job dispatch is both faster and what

@@ -26,7 +26,7 @@ byte-for-byte against the recorded one via
 :func:`~repro.corpus.codec.canonical_outcome_json`; any difference raises
 :class:`ReplayMismatchError` — the cross-version regression signal.  In
 **tolerant** mode mismatches are counted instead of raised, for replaying
-a corpus under a deliberately different detector or numeric backend.
+a corpus under a deliberately changed detector or DSP code.
 """
 
 from __future__ import annotations

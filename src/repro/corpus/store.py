@@ -57,6 +57,27 @@ CORPUS_FORMAT = 1
 _tmp_counter = itertools.count()
 
 
+#: Timestamp of every npz member.  ``np.savez_compressed`` leaves the
+#: stamp to :mod:`zipfile`, which may take it from the clock; a fixed one
+#: makes recording the same cell twice give the same payload bytes.
+_MEMBER_DATE_TIME = (1980, 1, 1, 0, 0, 0)
+
+
+def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
+    """The deflated ``.npz`` archive ``np.savez_compressed`` would write,
+    with every member stamped :data:`_MEMBER_DATE_TIME`."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, value in arrays.items():
+            member = zipfile.ZipInfo(f"{name}.npy", date_time=_MEMBER_DATE_TIME)
+            member.compress_type = zipfile.ZIP_DEFLATED
+            with archive.open(member, "w", force_zip64=True) as handle:
+                np.lib.format.write_array(
+                    handle, np.asanyarray(value), allow_pickle=False
+                )
+    return buffer.getvalue()
+
+
 class CorpusError(Exception):
     """Base class of structured corpus failures.
 
@@ -181,9 +202,7 @@ class CaptureCorpus:
         and the payload's SHA-256 so reads can verify end to end.
         Returns the manifest path (the commit point).
         """
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        payload = buffer.getvalue()
+        payload = _npz_bytes(arrays)
         stamped = dict(manifest)
         stamped["format"] = CORPUS_FORMAT
         stamped["fingerprint"] = fingerprint

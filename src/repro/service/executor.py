@@ -16,12 +16,6 @@ service tests assert it against ``run_cell_spec``.
 This is the seam the :class:`~repro.service.scheduler.BatchingScheduler`
 uses to put the heavy DSP on real cores inside a ``ProcessPoolExecutor``
 while the asyncio loop only does protocol, coalescing, and decide.
-
-The DSP *backend* selection inside a worker follows the normal rules
-(:mod:`repro.dsp.backend`): explicit ``set_backend`` does not cross the
-process boundary, but the ``REPRO_DSP_BACKEND`` environment variable does
-— the CLI sets it before any pool exists, so spawned workers inherit the
-choice.
 """
 
 from __future__ import annotations
@@ -112,11 +106,11 @@ def execute_dsp_jobs(
 
 
 def warm_worker() -> str:
-    """Force a pool worker to import and select its DSP backend.
+    """Force a pool worker to import the pipeline and its DSP kernels.
 
     Submitted once per worker at scheduler start so the first real batch
-    does not pay the import + backend-probe latency.  Returns the chosen
-    backend name (handy in logs and tests).
+    does not pay the import latency.  Returns the kernel set's name
+    (handy in logs and tests).
     """
     from repro.dsp.backend import get_backend
 

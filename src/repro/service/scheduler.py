@@ -53,11 +53,8 @@ from repro.service.faults import FaultInjector
 from repro.sim.pipeline import (
     DEFAULT_BATCH_SIZE,
     DetectionPair,
-    NegotiationResult,
-    PlannedRender,
     PreparedRound,
     RenderedRecordings,
-    SessionContext,
     render_and_detect,
     set_fanout_width,
 )
@@ -355,9 +352,8 @@ class BatchingScheduler:
 
     async def run_round(
         self,
-        context: SessionContext,
-        negotiation: NegotiationResult,
-        planned: PlannedRender,
+        prepared: PreparedRound,
+        *,
         announced: bool = False,
         expires_at: float | None = None,
     ) -> tuple[RenderedRecordings, DetectionPair]:
@@ -374,11 +370,7 @@ class BatchingScheduler:
         if announced:
             self.retract(1)
         future = asyncio.get_running_loop().create_future()
-        item = _PendingRound(
-            PreparedRound.from_context(context, negotiation, planned),
-            future,
-            expires_at=expires_at,
-        )
+        item = _PendingRound(prepared, future, expires_at=expires_at)
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:

@@ -462,11 +462,7 @@ class AuthService:
                     return prepared
                 submitted = True
                 recordings, detections = await self.scheduler.run_round(
-                    session.context,
-                    prepared.negotiation,
-                    prepared.planned,
-                    announced=True,
-                    expires_at=expires_at,
+                    prepared, announced=True, expires_at=expires_at
                 )
                 outcome = finish(
                     session, prepared.negotiation, recordings, detections

@@ -2,9 +2,10 @@
 
 Three modules (see ``docs/pipeline.md`` and ``docs/architecture.md``):
 
-* **stages** — the five typed, pure stages of one ACTION round
-  (``negotiate`` → ``schedule`` → ``render`` → ``detect`` →
-  ``exchange_and_decide``) and the dataclasses crossing their
+* **stages** — the typed, pure stages of one ACTION round
+  (``negotiate`` → ``schedule`` → ``render_noise`` →
+  ``render_arrivals`` → ``exchange_and_decide``; detection is
+  ``batch.detect_batch``) and the dataclasses crossing their
   boundaries;
 * **batch** — the round driver: :func:`prepare` runs the RNG-bound
   stages per session, :func:`render_and_detect` renders every capture's
@@ -63,12 +64,10 @@ from repro.sim.pipeline.stages import (
     SessionArtifacts,
     SessionContext,
     SessionTiming,
-    detect,
     exchange,
     exchange_and_decide,
     negotiate,
     radiated_reference_waveform,
-    render,
     render_arrivals,
     render_call_counts,
     render_noise,
@@ -92,7 +91,6 @@ __all__ = [
     "SessionArtifacts",
     "SessionContext",
     "SessionTiming",
-    "detect",
     "detect_batch",
     "exchange",
     "exchange_and_decide",
@@ -101,7 +99,6 @@ __all__ = [
     "negotiate",
     "prepare",
     "radiated_reference_waveform",
-    "render",
     "render_and_detect",
     "render_arrivals",
     "render_call_counts",

@@ -108,8 +108,8 @@ __all__ = [
 #: Auto batch size: large enough that the shared coarse pass and the
 #: stacked arrival convolutions amortize their dispatch overhead, small
 #: enough that a batch's 2·B capture buffers stay a modest memory
-#: footprint.  (FFT work is chunked independently — see the calibrated
-#: :attr:`repro.dsp.backend.DSPBackend.fft_chunk_windows`.)
+#: footprint.  (FFT work is chunked independently — see
+#: :attr:`repro.core.detection.FrequencyDetector.MAX_FFT_WINDOWS`.)
 DEFAULT_BATCH_SIZE = 16
 
 #: Mean capture length, in samples, below which a step runs unfanned.

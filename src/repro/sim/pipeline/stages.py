@@ -1,15 +1,17 @@
 """Typed, pure stages of one ACTION ranging round.
 
-The six protocol steps of §IV (Steps I–VI) decompose into five stages,
-each a module-level function consuming and producing frozen dataclasses:
+The six protocol steps of §IV (Steps I–VI) decompose into stages, each
+a module-level function consuming and producing frozen dataclasses:
 
 * :func:`negotiate` — Steps I–II: signal construction plus the Bluetooth
   init exchange;
 * :func:`schedule` — Step III: OS audio-path latency draws and the
   event-scheduled playback sequence (including interference providers);
-* :func:`render` — the acoustic mixer produces both microphone captures
-  (split into :func:`render_noise` and :func:`render_arrivals`);
-* :func:`detect` — Step IV: both devices run the detector;
+* :func:`render_noise` then :func:`render_arrivals` — the acoustic mixer
+  produces both microphone captures: the RNG-bound noise beds and channel
+  draws, then the deterministic arrival convolutions;
+* Step IV, detection, runs on the recordings of a whole batch at once
+  (:func:`repro.sim.pipeline.batch.detect_batch`);
 * :func:`exchange` — Steps V–VI: the vouch report crosses the secure
   channel, Eq. 3 runs, and the cost model charges the battery, producing
   a threshold-free :class:`RoundEvidence`;
@@ -85,10 +87,8 @@ __all__ = [
     "radiated_reference_waveform",
     "negotiate",
     "schedule",
-    "render",
     "render_noise",
     "render_arrivals",
-    "detect",
     "exchange",
     "exchange_and_decide",
     "session_cost",
@@ -216,9 +216,9 @@ class PlannedRender:
     Holds everything the deterministic arrival phase needs — the noise
     beds and the realized-channel arrival plans for the auth and vouch
     captures.  Producing this object consumes the session RNG exactly as
-    the one-shot ``render`` stage did; finalizing it consumes no RNG at
-    all, which is what lets a batch runner stack the arrival math of many
-    sessions into shared kernel calls.
+    the monolith's one-shot ``mixer.render`` did; finalizing it consumes
+    no RNG at all, which is what lets a batch runner stack the arrival
+    math of many sessions into shared kernel calls.
     """
 
     auth: CaptureJob
@@ -318,7 +318,7 @@ class RoundEvidence:
 # were drawn and how many capture plans went through the deterministic
 # arrival phase.  The counters exist so sweeps can *prove* their
 # O(renders) claim — a 16-threshold ROC sweep must log exactly the same
-# counts as a 1-threshold run (tests/test_sweep.py, tools/roc_smoke.py).
+# counts as a 1-threshold run (tests/test_sweep.py).
 # The round driver runs render_arrivals on several threads at once, so
 # updates take a lock; the counters are diagnostics, never inputs to any
 # computation.
@@ -537,47 +537,6 @@ def render_arrivals(planned: Sequence[PlannedRender]) -> list[RenderedRecordings
         RenderedRecordings(auth=recordings[2 * i], vouch=recordings[2 * i + 1])
         for i in range(len(planned))
     ]
-
-
-def render(
-    ctx: SessionContext,
-    plan: SchedulePlan,
-    rng: np.random.Generator,
-) -> RenderedRecordings:
-    """Render both microphones through one per-session mixer.
-
-    The composition of :func:`render_noise` and :func:`render_arrivals`
-    for a single session — the very kernel calls the batch runner makes,
-    at B = 1.
-    """
-    return render_arrivals([render_noise(ctx, plan, rng)])[0]
-
-
-def detect(
-    ctx: SessionContext,
-    negotiation: NegotiationResult,
-    recordings: RenderedRecordings,
-) -> DetectionPair:
-    """Step IV: both devices run the detector on their captures.
-
-    RNG-free: detection is a pure function of the recordings.  The batch
-    runner replaces this stage with one stacked pass over every recording
-    of a batch (:meth:`repro.core.action.ActionRanging.observe_batch`).
-    """
-    signals = negotiation.signals
-    auth_obs = ctx.action.observe(
-        recordings.auth,
-        own=signals.auth,
-        remote=signals.vouch,
-        sample_rate=ctx.auth_device.sample_rate,
-    )
-    vouch_obs = ctx.action.observe(
-        recordings.vouch,
-        own=signals.vouch,
-        remote=signals.auth,
-        sample_rate=ctx.vouch_device.sample_rate,
-    )
-    return DetectionPair(auth=auth_obs, vouch=vouch_obs)
 
 
 def exchange(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -316,6 +317,35 @@ def test_concurrent_writers_of_one_entry_stay_consistent(tmp_path):
         p for p in corpus.entries_dir.iterdir() if p.name.startswith(".")
     ]
     assert leftovers == []
+
+
+def test_recording_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    """One cell recorded at two wall-clock times: identical files."""
+    spec = build_capture_specs(
+        profile="mini", distances=[0.5], trials=2, seed=11
+    )[0]
+    localtime = time.localtime
+    trees = []
+    for epoch in (1.0e9, 1.7e9):
+        monkeypatch.setattr(time, "time", lambda epoch=epoch: epoch)
+        monkeypatch.setattr(
+            time,
+            "localtime",
+            lambda seconds=None, epoch=epoch: localtime(
+                epoch if seconds is None else seconds
+            ),
+        )
+        root = tmp_path / f"at{epoch:.0f}"
+        record_cell_spec(spec, CaptureCorpus(root))
+        trees.append(
+            {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+        )
+    assert {path.suffix for path in trees[0]} == {".json", ".npz"}
+    assert trees[1] == trees[0]
 
 
 # ----------------------------------------------------------------------

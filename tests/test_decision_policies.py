@@ -43,12 +43,10 @@ from repro.service.protocol import (
 )
 from repro.sim.pipeline import (
     RoundEvidence,
-    detect,
     exchange,
     exchange_and_decide,
-    negotiate,
-    render,
-    schedule,
+    prepare,
+    render_and_detect,
 )
 
 PAPER_TAUS = THRESHOLDS_M  # (0.5, 1.0, 1.5, 2.0)
@@ -82,12 +80,11 @@ def _synthetic_outcomes():
 def _run_stages(spec, trial, *, use_evidence):
     session = build_trial_session(spec, trial)
     ctx, rng = session.context, session.rng
-    negotiation = negotiate(ctx, rng)
-    if negotiation.failure is not None:
-        return negotiation.failure
-    plan = schedule(ctx, negotiation, rng)
-    recordings = render(ctx, plan, rng)
-    detections = detect(ctx, negotiation, recordings)
+    prepared = prepare(session)
+    if isinstance(prepared, RangingOutcome):
+        return prepared
+    [(_, detections)] = render_and_detect([prepared])
+    negotiation = prepared.negotiation
     if use_evidence:
         return exchange(ctx, negotiation, detections, rng).outcome()
     return exchange_and_decide(ctx, negotiation, detections, rng)

@@ -1,34 +1,20 @@
-"""Tests for the pluggable DSP backend layer (`repro.dsp.backend`).
+"""Tests for the DSP kernels of the ranging hot paths (`repro.dsp.backend`).
 
-The contract under test, in order of strictness:
+The contract under test:
 
-* the numpy default is **bit-compatible** with the inline expressions the
-  hot paths used before the backend seam existed (FFT, window powers,
+* every kernel is **bit-compatible** with the inline expressions the hot
+  paths used before the kernels were factored out (FFT, window powers,
   convolution, sosfilt) — on contiguous *and* strided inputs;
-* alternate backends agree within the documented float tolerance
-  (``1e-10`` relative on window powers / convolution);
-* auto-selection only ever installs a backend whose FFT kernel probes
-  bit-identical to numpy on the running host, and explicit selection
-  (name, env var, context manager) is honored.
+* the process-wide instance can be substituted and restored
+  (:func:`use_backend`, :func:`set_backend`), and ``"numpy"`` is the only
+  name :func:`set_backend` accepts.
 """
 
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from repro.dsp.backend import (
-    BACKEND_ENV_VAR,
-    DEFAULT_FFT_CHUNK_WINDOWS,
-    NumpyBackend,
-    ScipyBackend,
-    available_backends,
-    create_backend,
-    get_backend,
-    probe_bit_compatible,
-    select_backend,
-    set_backend,
-    use_backend,
-)
+from repro.dsp.backend import DSPBackend, get_backend, set_backend, use_backend
 
 
 @pytest.fixture()
@@ -54,82 +40,53 @@ def _reference_window_powers(windows, bins, length):
 
 
 # ----------------------------------------------------------------------
-# Registry and selection
+# The process-wide instance
 # ----------------------------------------------------------------------
 
 
-def test_numpy_and_scipy_always_available():
-    names = available_backends()
-    assert "numpy" in names and "scipy" in names
-
-
-def test_create_backend_unknown_name_lists_choices():
+def test_set_backend_unknown_name_lists_choices():
+    installed = get_backend()
     with pytest.raises(ValueError, match="numpy"):
-        create_backend("cuda-quantum")
-
-
-def test_env_var_selection(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "scipy")
-    assert isinstance(select_backend(), ScipyBackend)
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-    assert isinstance(select_backend(), NumpyBackend)
-
-
-def test_explicit_name_overrides_env(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "scipy")
-    assert isinstance(select_backend("numpy"), NumpyBackend)
-
-
-def test_auto_selection_is_bit_compatible_on_this_host(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    backend = select_backend()
-    assert isinstance(backend, NumpyBackend) or probe_bit_compatible(backend)
+        set_backend("cuda-quantum")
+    assert get_backend() is installed
 
 
 def test_use_backend_restores_previous():
     baseline = get_backend()
-    with use_backend("scipy") as backend:
-        assert backend.name == "scipy"
-        assert get_backend() is backend
+    substitute = DSPBackend()
+    with use_backend(substitute) as backend:
+        assert backend is substitute
+        assert get_backend() is substitute
     assert get_backend() is baseline
 
 
 def test_set_backend_accepts_instance_and_name():
-    previous = set_backend("scipy")
+    substitute = DSPBackend()
+    previous = set_backend(substitute)
     try:
-        assert get_backend().name == "scipy"
-        set_backend(NumpyBackend())
+        assert get_backend() is substitute
+        set_backend("numpy")
+        assert get_backend() is not substitute
         assert get_backend().name == "numpy"
     finally:
         set_backend(previous)
 
 
-def test_probe_accepts_numpy_backend():
-    assert probe_bit_compatible(NumpyBackend())
-
-
-def test_chunk_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_DSP_CHUNK", "37")
-    assert NumpyBackend().fft_chunk_windows == 37
-    monkeypatch.delenv("REPRO_DSP_CHUNK")
-    assert NumpyBackend().fft_chunk_windows == DEFAULT_FFT_CHUNK_WINDOWS
-
-
 # ----------------------------------------------------------------------
-# Numpy default: bit-compatibility with the pre-backend expressions
+# Kernels: bit-compatibility with the pre-seam expressions
 # ----------------------------------------------------------------------
 
 
 def test_numpy_rfft_is_np_fft_rfft(window_batch):
     assert np.array_equal(
-        NumpyBackend().rfft(window_batch, axis=1),
+        DSPBackend().rfft(window_batch, axis=1),
         np.fft.rfft(window_batch, axis=1),
     )
 
 
 def test_numpy_window_powers_bit_identical(window_batch, agg_bins):
     assert np.array_equal(
-        NumpyBackend().window_powers(window_batch, agg_bins, 1024),
+        DSPBackend().window_powers(window_batch, agg_bins, 1024),
         _reference_window_powers(window_batch, agg_bins, 1024),
     )
 
@@ -145,7 +102,7 @@ def test_numpy_window_powers_strided_slab_bit_identical(rng, agg_bins):
     view = np.lib.stride_tricks.sliding_window_view(flat, 1024)
     slab = view[100:3100:10]
     gathered = np.ascontiguousarray(slab)
-    backend = NumpyBackend()
+    backend = DSPBackend()
     assert np.array_equal(
         backend.window_powers(slab, agg_bins, 1024),
         backend.window_powers(gathered, agg_bins, 1024),
@@ -155,14 +112,14 @@ def test_numpy_window_powers_strided_slab_bit_identical(rng, agg_bins):
 def test_numpy_convolve_batch_rows_equal_np_convolve(rng):
     signals = rng.normal(size=(5, 300))
     taps = rng.normal(size=(5, 41))
-    out = NumpyBackend().convolve_batch(signals, taps)
+    out = DSPBackend().convolve_batch(signals, taps)
     assert out.shape == (5, 340)
     for row in range(5):
         assert np.array_equal(out[row], np.convolve(signals[row], taps[row]))
 
 
 def test_convolve_batch_validates_shapes(rng):
-    backend = NumpyBackend()
+    backend = DSPBackend()
     with pytest.raises(ValueError):
         backend.convolve_batch(rng.normal(size=300), rng.normal(size=(1, 3)))
     with pytest.raises(ValueError):
@@ -177,7 +134,7 @@ def test_sosfilt_accepts_frozen_designs(rng):
     frozen.setflags(write=False)
     x = rng.normal(size=2_000)
     assert np.array_equal(
-        NumpyBackend().sosfilt(frozen, x), sp_signal.sosfilt(sos, x)
+        DSPBackend().sosfilt(frozen, x), sp_signal.sosfilt(sos, x)
     )
 
 
@@ -185,43 +142,6 @@ def test_sosfilt_stacked_rows_equal_solo_rows(rng):
     """Row-stacked filtering (the batched noise pass) is bit-exact."""
     sos = sp_signal.butter(4, 3000.0, btype="low", fs=44_100.0, output="sos")
     stack = rng.normal(size=(4, 2_000))
-    batched = NumpyBackend().sosfilt(sos, stack)
+    batched = DSPBackend().sosfilt(sos, stack)
     for row in range(4):
         assert np.array_equal(batched[row], sp_signal.sosfilt(sos, stack[row]))
-
-
-# ----------------------------------------------------------------------
-# Alternate backends: documented tolerance (and per-host bit equality)
-# ----------------------------------------------------------------------
-
-
-def _alternate_backends():
-    return [name for name in available_backends() if name != "numpy"]
-
-
-@pytest.mark.parametrize("name", _alternate_backends())
-def test_alternate_window_powers_within_tolerance(name, window_batch, agg_bins):
-    reference = _reference_window_powers(window_batch, agg_bins, 1024)
-    powers = create_backend(name).window_powers(window_batch, agg_bins, 1024)
-    np.testing.assert_allclose(powers, reference, rtol=1e-10)
-
-
-@pytest.mark.parametrize("name", _alternate_backends())
-def test_alternate_convolve_batch_within_tolerance(name, rng):
-    signals = rng.normal(size=(4, 500))
-    taps = rng.normal(size=(4, 61))
-    reference = np.stack(
-        [np.convolve(signals[i], taps[i]) for i in range(4)]
-    )
-    out = create_backend(name).convolve_batch(signals, taps)
-    np.testing.assert_allclose(out, reference, rtol=1e-10, atol=1e-12)
-
-
-def test_scipy_rfft_probe_result_is_honest(window_batch):
-    """Whatever the probe says, it must match observed behaviour."""
-    backend = ScipyBackend()
-    observed = np.array_equal(
-        backend.rfft(window_batch, axis=1), np.fft.rfft(window_batch, axis=1)
-    )
-    if probe_bit_compatible(backend):
-        assert observed

@@ -22,11 +22,8 @@ import subprocess
 import sys
 import textwrap
 import threading
-import time
-import zipfile
 from contextvars import ContextVar
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -492,13 +489,6 @@ def test_recorded_corpus_files_identical_when_prepare_fans_out(
 ):
     # Mini-profile captures are too short to fan out by default.
     monkeypatch.setattr(batch, "FANOUT_MIN_CAPTURE_SAMPLES", 0)
-    # npz members carry their write time; pin it so only what was
-    # recorded can differ between the two corpora.
-    monkeypatch.setattr(
-        zipfile,
-        "time",
-        SimpleNamespace(time=lambda: 1.0e9, localtime=time.localtime),
-    )
     specs = build_capture_specs(
         profile="mini", distances=[0.5, 3.0], trials=5, seed=23
     )

@@ -225,28 +225,33 @@ def test_cli_jobs_flag_keeps_tables(capsys):
 
 
 def test_experiment_tables_backend_invariant():
-    """Auto-selection (and any probe-passing backend) leaves table bytes.
+    """A substituted kernel instance sees every kernel and leaves table bytes.
 
-    The numpy default is the reference; the auto-selector may only ever
-    install a backend whose FFT kernel probed bit-identical to numpy on
-    this host, so the selected backend — whichever it is — must
-    reproduce the reference tables byte for byte.
+    ``perfbench`` times the DSP kernels by wrapping them on the live
+    instance, so the hot paths must reach every kernel through
+    :func:`repro.dsp.backend.get_backend` — and wrapping must not change
+    a byte of the tables.
     """
-    from repro.dsp.backend import (
-        ScipyBackend,
-        probe_bit_compatible,
-        select_backend,
-        use_backend,
-    )
+    from repro.dsp.backend import DSPBackend, use_backend
 
-    with use_backend("numpy"):
-        reference = _experiment_text("fig1", 16, 2)
-    with use_backend(select_backend()):
+    kernels = ("window_powers", "rfft", "convolve_batch", "sosfilt")
+    calls = dict.fromkeys(kernels, 0)
+    wrapped = DSPBackend()
+
+    def counting(kernel, inner):
+        def call(*args, **kwargs):
+            calls[kernel] += 1
+            return inner(*args, **kwargs)
+
+        return call
+
+    for kernel in kernels:
+        setattr(wrapped, kernel, counting(kernel, getattr(wrapped, kernel)))
+
+    reference = _experiment_text("fig1", 16, 2)
+    with use_backend(wrapped):
         assert _experiment_text("fig1", 16, 2) == reference
-    scipy_backend = ScipyBackend()
-    if probe_bit_compatible(scipy_backend):
-        with use_backend(scipy_backend):
-            assert _experiment_text("fig1", 16, 2) == reference
+    assert all(calls.values()), calls
 
 
 # ----------------------------------------------------------------------

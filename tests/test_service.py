@@ -34,7 +34,7 @@ from repro.service import (
     decode_message,
     encode_message,
 )
-from repro.sim.pipeline import negotiate, render_noise, schedule
+from repro.sim.pipeline import prepare
 
 # Small, fast cells: quiet_lab keeps detection easy and stable.
 ENV = "quiet_lab"
@@ -454,20 +454,17 @@ def test_invalid_requests_get_bad_request(bad_fields):
 def test_scheduler_queue_limit_raises_overloaded():
     spec = TrialSpec(environment=ENV, distance_m=0.8, n_trials=3, seed=SEED)
 
-    def prepare(trial):
-        session = build_trial_session(spec, trial)
-        ctx, rng = session.context, session.rng
-        negotiation = negotiate(ctx, rng)
-        assert negotiation.failure is None
-        plan = schedule(ctx, negotiation, rng)
-        return ctx, negotiation, render_noise(ctx, plan, rng)
+    def prepared_round(trial):
+        prepared = prepare(build_trial_session(spec, trial))
+        assert not isinstance(prepared, RangingOutcome)
+        return prepared
 
     async def go():
         scheduler = BatchingScheduler(max_batch=4, max_pending=2)
         # Not started: submissions queue up against the limit.
         tasks = [
             asyncio.get_running_loop().create_task(
-                scheduler.run_round(*prepare(trial))
+                scheduler.run_round(prepared_round(trial))
             )
             for trial in range(3)
         ]
@@ -574,18 +571,14 @@ def test_abandoned_rounds_are_not_executed():
     """Rounds whose request died never cost a stacked DSP pass."""
     spec = TrialSpec(environment=ENV, distance_m=0.8, n_trials=2, seed=SEED)
 
-    def prepare(trial):
-        session = build_trial_session(spec, trial)
-        ctx, rng = session.context, session.rng
-        negotiation = negotiate(ctx, rng)
-        plan = schedule(ctx, negotiation, rng)
-        return ctx, negotiation, render_noise(ctx, plan, rng)
+    def prepared_round(trial):
+        return prepare(build_trial_session(spec, trial))
 
     async def go():
         scheduler = BatchingScheduler(max_batch=4)
         loop = asyncio.get_running_loop()
-        dead = loop.create_task(scheduler.run_round(*prepare(0)))
-        live = loop.create_task(scheduler.run_round(*prepare(1)))
+        dead = loop.create_task(scheduler.run_round(prepared_round(0)))
+        live = loop.create_task(scheduler.run_round(prepared_round(1)))
         await asyncio.sleep(0)  # both queued; collector not started yet
         dead.cancel()
         await asyncio.gather(dead, return_exceptions=True)
@@ -604,13 +597,9 @@ def test_scheduler_stop_fails_queued_rounds():
         spec = TrialSpec(
             environment=ENV, distance_m=0.8, n_trials=1, seed=SEED
         )
-        session = build_trial_session(spec, 0)
-        ctx, rng = session.context, session.rng
-        negotiation = negotiate(ctx, rng)
-        plan = schedule(ctx, negotiation, rng)
-        planned = render_noise(ctx, plan, rng)
+        prepared = prepare(build_trial_session(spec, 0))
         task = asyncio.get_running_loop().create_task(
-            scheduler.run_round(ctx, negotiation, planned)
+            scheduler.run_round(prepared)
         )
         await asyncio.sleep(0)
         await scheduler.stop()  # never started: the queued round must fail

@@ -37,7 +37,7 @@ INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 #: An inline code span that is exactly one flag, optionally with a
-#: placeholder metavar ("--batch N", "--dsp-backend NAME").
+#: placeholder metavar ("--batch N", "--cache-dir DIR").
 INLINE_FLAG_RE = re.compile(r"^(--[a-z][a-z0-9-]*)(?:[= ][A-Za-z0-9_./-]+)?$")
 
 

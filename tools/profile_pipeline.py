@@ -19,7 +19,6 @@ Examples
     PYTHONPATH=src python tools/profile_pipeline.py
     PYTHONPATH=src python tools/profile_pipeline.py --mode cumulative --limit 25
     PYTHONPATH=src python tools/profile_pipeline.py --trials 8 --batch 32
-    PYTHONPATH=src python tools/profile_pipeline.py --dsp-backend scipy
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import pstats
 from time import perf_counter
 
 from repro.core.decisions import ThresholdGridPolicy
-from repro.dsp.backend import get_backend, select_backend, set_backend
+from repro.dsp.backend import get_backend
 from repro.eval.engine import AUTH, VOUCH, TrialSpec, build_pair_world
 from repro.eval.sweep import DEFAULT_ROC_THRESHOLDS
 from repro.sim.pipeline import BatchedSessionRunner, fanout_width, usable_cpus
@@ -87,22 +86,13 @@ def main() -> int:
     parser.add_argument(
         "--limit", type=int, default=30, help="rows of the cumulative hot list"
     )
-    parser.add_argument(
-        "--dsp-backend",
-        default=None,
-        metavar="NAME",
-        help="profile under a specific DSP backend (default: auto-selected)",
-    )
     args = parser.parse_args()
 
-    if args.dsp_backend is not None:
-        set_backend(select_backend(args.dsp_backend))
-    backend = get_backend()
     plan = _build_plan(args.trials)
     n_trials = sum(len(sessions) for sessions in plan)
     print(
         f"plan: fig1 x {args.trials} trials/cell = {n_trials} trials, "
-        f"batch={args.batch}, dsp-backend={backend.name}, "
+        f"batch={args.batch}, dsp-backend={get_backend().name}, "
         f"cpus={usable_cpus()}, fan-out={fanout_width()}"
     )
 
